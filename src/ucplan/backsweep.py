@@ -5,17 +5,18 @@ hour it samples states near an anchor, values each one with a Bellman
 backup whose successor values come from nearest-neighbor lookup into the
 already-valued next slice, then re-anchors on the best sampled state.
 ``greedy_policy`` afterwards sweeps forward once, picking the action that
-maximizes reward plus the neighbor-approximated successor value.
+maximizes reward plus the neighbor-approximated successor value.  Both
+score actions with ``UnitCommitmentMDP.rewards``, the one definition of
+the hourly reward.
 """
 
-import itertools
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .core import STATUS_CAP
 from .errors import EmptySliceError, HourMismatchError, NoFeasibleActionError
-from .mdp import BIG, ScheduleSolution, SystemState, UnitCommitmentMDP
+from .mdp import BIG, ScheduleSolution, SystemState, UnitCommitmentMDP, all_statuses
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +57,20 @@ def state_distance(s1: SystemState, s2: SystemState, metric: StateDistanceMetric
     return total
 
 
+def _sign_clip(statuses: np.ndarray, metric: StateDistanceMetric):
+    """Per-unit on/off signs and cap-clipped counter magnitudes of status rows."""
+    caps = np.array(metric.counter_caps or (STATUS_CAP,) * statuses.shape[1])
+    return statuses > 0, np.minimum(np.abs(statuses), caps)
+
+
+def _distances(q_sign, q_clip, sign, clip, metric: StateDistanceMetric) -> np.ndarray:
+    """``state_distance`` from every query row to every stored row."""
+    return (
+        metric.sign_mismatch_weight * (q_sign[:, None, :] != sign[None, :, :])
+        + metric.counter_scale * np.abs(q_clip[:, None, :] - clip[None, :, :])
+    ).sum(axis=2)
+
+
 class ValueSlice:
     """States valued at one hour, queryable by nearest neighbor."""
 
@@ -81,14 +96,31 @@ class ValueSlice:
         key = (len(self.states), metric)
         if self._cache_key != key:
             status = np.array([s.status for s in self.states])
-            caps = np.array(
-                metric.counter_caps or (STATUS_CAP,) * status.shape[1]
-            )
-            self._sign = status > 0
-            self._clip = np.minimum(np.abs(status), caps)
+            self._sign, self._clip = _sign_clip(status, metric)
             self._vals = np.array(self.values)
             self._cache_key = key
         return self._sign, self._clip, self._vals
+
+    def nearest(self, statuses: np.ndarray, metric: StateDistanceMetric) -> list[int]:
+        """Index of the nearest stored state for every status row.
+
+        An exact status match wins outright (the clipped metric is a
+        pseudometric, so distinct states can sit at distance zero); the
+        other rows take the first minimum, so ties resolve by insertion
+        order.
+        """
+        found = [self.exact_index(tuple(row)) for row in statuses.tolist()]
+        miss = [k for k, j in enumerate(found) if j is None]
+        if miss:
+            sign, clip, _ = self.arrays(metric)
+            q_sign, q_clip = _sign_clip(statuses[miss], metric)
+            chunk = max(1, 2_000_000 // max(1, len(self) * statuses.shape[1]))
+            for lo in range(0, len(miss), chunk):
+                hi = lo + chunk
+                d = _distances(q_sign[lo:hi], q_clip[lo:hi], sign, clip, metric)
+                for k, j in zip(miss[lo:hi], np.argmin(d, axis=1).tolist()):
+                    found[k] = j
+        return found
 
     def __len__(self) -> int:
         return len(self.states)
@@ -108,33 +140,13 @@ class ValueSampleSet:
 def nearest_neighbor(
     state: SystemState, slice_: ValueSlice, metric: StateDistanceMetric
 ) -> tuple[SystemState, float]:
-    """Closest stored (state, value) pair.
-
-    An exact status match wins outright (the clipped metric is a
-    pseudometric, so distinct states can sit at distance zero); remaining
-    ties resolve by insertion order.
-    """
+    """Closest stored (state, value) pair, as ``ValueSlice.nearest`` picks it."""
     if len(slice_) == 0:
         raise EmptySliceError(f"no states stored at hour {state.hour}")
     if state.hour != slice_.hour:
         raise HourMismatchError(f"state hour {state.hour} != slice hour {slice_.hour}")
-    exact = slice_.exact_index(state.status)
-    if exact is not None:
-        return slice_.states[exact], slice_.values[exact]
-    sign, clip, _ = slice_.arrays(metric)
-    caps = np.array(metric.counter_caps or (STATUS_CAP,) * len(state.status))
-    q = np.array(state.status)
-    d = (
-        metric.sign_mismatch_weight * (sign != (q > 0))
-        + metric.counter_scale * np.abs(clip - np.minimum(np.abs(q), caps))
-    ).sum(axis=1)
-    best = int(np.argmin(d))  # first minimum = insertion order
+    best = slice_.nearest(np.array([state.status]), metric)[0]
     return slice_.states[best], slice_.values[best]
-
-
-def _all_statuses(n_units: int):
-    signed = [s for s in range(-STATUS_CAP, STATUS_CAP + 1) if s != 0]
-    return itertools.product(signed, repeat=n_units)
 
 
 def sample_environment(
@@ -155,7 +167,7 @@ def sample_environment(
     if n_samples >= space:
         out = [anchor]
         seen = {anchor.status}
-        for status in _all_statuses(n):
+        for status in all_statuses(n):
             if status not in seen:
                 out.append(SystemState(status, anchor.hour))
         return out
@@ -177,7 +189,7 @@ def sample_environment(
             seen.add(key)
             out.append(SystemState(key, anchor.hour))
     if len(out) < n_samples:
-        for status in _all_statuses(n):  # deterministic fill, rare
+        for status in all_statuses(n):  # deterministic fill, rare
             if len(out) >= n_samples:
                 break
             if status not in seen:
@@ -197,44 +209,16 @@ def _score_actions(env: UnitCommitmentMDP, state: SystemState, nxt: ValueSlice, 
     if not acts:
         return acts, None
     n = env.n_units
-    aints = np.array(acts)
-    bits = ((aints[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-
+    bits = (np.array(acts)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     st = np.array(state.status)
     child = np.where(
         bits,
         np.where(st > 0, np.minimum(st + 1, STATUS_CAP), 1),
         np.where(st < 0, np.maximum(st - 1, -STATUS_CAP), -1),
     )
-
-    prices = np.zeros(n)
-    for i, s in enumerate(state.status):
-        if s < 0:
-            prices[i] = env._startup_table[i][-s - 1]
-    rewards = -np.array([env.dispatch_cost_int(a, state.hour) for a in acts])
-    rewards -= bits @ prices
-
-    sign, clip, vals = nxt.arrays(metric)
-    caps = np.array(metric.counter_caps or (STATUS_CAP,) * n)
-    child_clip = np.minimum(np.abs(child), caps)
-    child_sign = child > 0
-    nn_vals = np.empty(len(acts))
-    chunk = max(1, 2_000_000 // max(1, len(nxt) * n))
-    for lo in range(0, len(acts), chunk):
-        hi = min(lo + chunk, len(acts))
-        d = (
-            metric.sign_mismatch_weight
-            * (child_sign[lo:hi, None, :] != sign[None, :, :])
-            + metric.counter_scale
-            * np.abs(child_clip[lo:hi, None, :] - clip[None, :, :])
-        ).sum(axis=2)
-        nn_vals[lo:hi] = vals[np.argmin(d, axis=1)]
-    # exact status matches beat zero-distance neighbors
-    for k in range(len(acts)):
-        j = nxt.exact_index(tuple(child[k].tolist()))
-        if j is not None:
-            nn_vals[k] = vals[j]
-    return acts, rewards + nn_vals
+    rewards = np.array(env.rewards(state.status, state.hour, acts))
+    _, _, vals = nxt.arrays(metric)
+    return acts, rewards + vals[nxt.nearest(child, metric)]
 
 
 def evaluate_states(
@@ -284,20 +268,13 @@ def greedy_policy(
 ) -> ScheduleSolution:
     """Forward sweep: at every hour take the action maximizing reward plus
     the neighbor-approximated next-slice value (lexicographic ties)."""
-    if s0.hour != 0:
-        raise ValueError("greedy sweep starts from hour 0")
     metric = metric.for_instance(env.instance)
-    state = s0
-    actions = []
-    scores_taken = []
-    for t in range(env.horizon):
-        acts, scores = _score_actions(env, state, value_set.slice_at(t + 1), metric)
+
+    def choose(state, _):
+        acts, scores = _score_actions(env, state, value_set.slice_at(state.hour + 1), metric)
         if not acts:
-            raise NoFeasibleActionError(f"no feasible action at hour {t}", step=t)
+            raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
         k = int(np.argmax(scores))  # first maximum = lexicographic tie-break
-        bits = env._bits_of(acts[k])
-        actions.append(bits)
-        scores_taken.append(float(scores[k]))
-        state = env.transition(state, bits)
-    solution = env.replay(actions, s0)
-    return env.with_step_values(solution, scores_taken)
+        return env._bits_of(acts[k]), float(scores[k])
+
+    return env.rollout(s0, choose)

@@ -13,6 +13,10 @@ from .mdp import SystemState, UnitCommitmentMDP
 from .treesearch import SearchConfig, tree_search_policy
 
 
+class UsageError(UnitCommitmentError):
+    """A command-line argument is out of range."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="uc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,7 +58,23 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_solve_args(args) -> None:
+    for flag, value in (("-H", args.H), ("-K", args.K), ("--ns", args.ns),
+                        ("--threads", args.threads)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+    if not 0.0 < args.rho < 1.0:
+        raise UsageError(f"--rho must lie in (0, 1), got {args.rho}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    try:
+        harness.parse_warm_start(args.warm_start)
+    except ValueError as err:
+        raise UsageError(f"--warm-start: {err}") from None
+
+
 def _cmd_solve(args) -> int:
+    _check_solve_args(args)
     instance = harness.load_instance(args.instance)
     report = harness.run(
         instance,
@@ -145,7 +165,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except UnitCommitmentError as err:
+    except (UnitCommitmentError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,8 @@ an action is one commitment bit per unit.  Transitions advance counters
 (saturating at +/-24), feasibility combines the minimum up/down locks
 with the hourly set-generation limits, and the reward is minus the hour's
 dispatch cost minus start-up costs of units switching on.
+``UnitCommitmentMDP.rewards`` is the one definition of that reward; every
+solver and oracle scores actions through it.
 
 States with no feasible action ("catastrophe" states) are valued at
 ``-BIG`` inside the solvers so that any feasible continuation dominates.
@@ -24,7 +26,7 @@ from .core import (
     startup_cost,
 )
 from .dispatch import DispatchResult, check_set_limits, economic_dispatch
-from .errors import InfeasibleActionError
+from .errors import InfeasibleActionError, NoFeasibleActionError
 
 BIG = 1e12  # catastrophe penalty, dominates any real schedule cost
 
@@ -33,6 +35,12 @@ CommitmentAction = tuple[int, ...]
 
 # full 2^N action tables are only precomputed up to this fleet size
 _TABLE_LIMIT = 16
+
+
+def all_statuses(n_units: int):
+    """Every valid signed counter vector, in lexicographic order."""
+    signed = [s for s in range(-STATUS_CAP, STATUS_CAP + 1) if s != 0]
+    return itertools.product(signed, repeat=n_units)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,32 +144,34 @@ class UnitCommitmentMDP:
     # -- rewards and replay ----------------------------------------------
 
     def reward(self, state, action, next_state=None) -> float:
-        """Minus the dispatch cost at this hour minus start-up costs of
-        units switching off -> on.  ``next_state`` is implied by the
+        """``rewards`` of one action tuple.  ``next_state`` is implied by the
         deterministic transition and accepted only for signature parity."""
-        d = self.dispatch_cost(action, state.hour)
-        s = self.startup_outlay(state.status, action)
-        return -(d + s)
+        return self.rewards(state.status, state.hour, [self._int_of(action)])[0]
+
+    def rewards(self, status, hour: int, aints) -> list[float]:
+        """Reward of each bit-packed action from ``status`` at ``hour``.
+
+        Minus the sum of the hour's dispatch cost and the exact (fsum)
+        start-up bill of the units switching off -> on.  This is the only
+        definition of the hourly reward.
+        """
+        starts = [
+            (self._mask[i], self._startup_table[i][-st - 1])
+            for i, st in enumerate(status)
+            if st < 0
+        ]
+        off = sum(mask for mask, _ in starts)
+        bills = {0: 0.0}  # start-up bill by the set of units switched on
+        out = []
+        for aint in aints:
+            on = aint & off
+            if on not in bills:
+                bills[on] = fsum([price for mask, price in starts if on & mask])
+            out.append(-(self.dispatch_cost_int(aint, hour) + bills[on]))
+        return out
 
     def dispatch_cost(self, action, hour: int) -> float:
-        aint = self._int_of(action)
-        key = (aint, hour)
-        cost = self._dispatch_cost_memo.get(key)
-        if cost is None:
-            cost = economic_dispatch(
-                action, self.instance.profile.demand[hour], self._gens
-            ).cost
-            self._dispatch_cost_memo[key] = cost
-        return cost
-
-    def startup_outlay(self, status, action) -> float:
-        """Summed start-up costs incurred by ``action`` from ``status``."""
-        terms = [
-            self._startup_table[i][-st - 1]
-            for i, st in enumerate(status)
-            if st < 0 and action[i]
-        ]
-        return fsum(terms) if terms else 0.0
+        return self.dispatch_cost_int(self._int_of(action), hour)
 
     def schedule_cost(self, plan, start: SystemState | None = None) -> CostBreakdown:
         return self.replay(plan, start).cost
@@ -209,6 +219,29 @@ class UnitCommitmentMDP:
 
     def with_step_values(self, solution: ScheduleSolution, values) -> ScheduleSolution:
         return replace(solution, step_values=tuple(values))
+
+    def rollout(self, s0: SystemState, choose) -> ScheduleSolution:
+        """Receding-horizon loop shared by the planners.
+
+        Commits ``choose(state, previous action or None) -> (action, step
+        value)`` hour by hour from hour 0, then replays the plan with those
+        step values.  A NoFeasibleActionError from ``choose`` is re-raised
+        carrying the step it stopped at.
+        """
+        if s0.hour != 0:
+            raise ValueError(f"planning starts from hour 0, not {s0.hour}")
+        state = s0
+        actions = []
+        values = []
+        for t in range(self.horizon):
+            try:
+                action, value = choose(state, actions[-1] if actions else None)
+            except NoFeasibleActionError as err:
+                raise NoFeasibleActionError(str(err), step=t) from None
+            actions.append(action)
+            values.append(value)
+            state = self.transition(state, action)
+        return self.with_step_values(self.replay(actions, s0), values)
 
     # -- internals --------------------------------------------------------
 
@@ -298,11 +331,3 @@ class UnitCommitmentMDP:
             ).cost
             self._dispatch_cost_memo[key] = cost
         return cost
-
-    def startup_pairs(self, status) -> tuple[tuple[int, float], ...]:
-        """(bit mask, start-up price) for every currently-off unit."""
-        return tuple(
-            (self._mask[i], self._startup_table[i][-st - 1])
-            for i, st in enumerate(status)
-            if st < 0
-        )

@@ -6,15 +6,14 @@ exact backward induction over the whole state space, and grid search for
 the hourly dispatch.  Single-threaded on purpose.
 """
 
-import itertools
 from math import fsum
 
 import numpy as np
 
-from .core import STATUS_CAP, generation_cost
+from .core import generation_cost
 from .dispatch import DispatchResult
 from .errors import InfeasibleDispatchError, NoFeasiblePlanError, TooLargeError
-from .mdp import BIG, ScheduleSolution, SystemState, UnitCommitmentMDP
+from .mdp import BIG, ScheduleSolution, SystemState, UnitCommitmentMDP, all_statuses
 
 
 def exhaustive_optimum(env: UnitCommitmentMDP) -> ScheduleSolution:
@@ -38,22 +37,17 @@ def exhaustive_optimum(env: UnitCommitmentMDP) -> ScheduleSolution:
                 best_cost = acc
                 best_plan = list(prefix)
             return
-        for aint in env._feasible_ints(status, hour):
+        cands = env._feasible_ints(status, hour)
+        for aint, r in zip(cands, env.rewards(status, hour, cands)):
             bits = env._bits_of(aint)
-            cost = env.dispatch_cost_int(aint, hour) + env.startup_outlay(status, bits)
             prefix.append(bits)
-            walk(env._advance(status, bits), hour + 1, acc + cost)
+            walk(env._advance(status, bits), hour + 1, acc - r)
             prefix.pop()
 
     walk(s0.status, 0, 0.0)
     if best_plan is None:
         raise NoFeasiblePlanError("every branch reaches a state with no feasible action")
     return env.replay(best_plan, s0)
-
-
-def _all_statuses(n_units: int):
-    signed = [s for s in range(-STATUS_CAP, STATUS_CAP + 1) if s != 0]
-    return list(itertools.product(signed, repeat=n_units))
 
 
 def exact_dp(env: UnitCommitmentMDP) -> dict[tuple[int, tuple[int, ...]], float]:
@@ -64,17 +58,16 @@ def exact_dp(env: UnitCommitmentMDP) -> dict[tuple[int, tuple[int, ...]], float]
     """
     if env.n_units > 2:
         raise TooLargeError(f"N = {env.n_units} exceeds 2")
-    statuses = _all_statuses(env.n_units)
+    statuses = list(all_statuses(env.n_units))
     values: dict[tuple[int, tuple[int, ...]], float] = {}
     for status in statuses:
         values[(env.horizon, status)] = 0.0
     for hour in range(env.horizon - 1, -1, -1):
         for status in statuses:
             best = -float("inf")
-            for aint in env._feasible_ints(status, hour):
-                bits = env._bits_of(aint)
-                r = -env.dispatch_cost_int(aint, hour) - env.startup_outlay(status, bits)
-                v = r + values[(hour + 1, env._advance(status, bits))]
+            cands = env._feasible_ints(status, hour)
+            for aint, r in zip(cands, env.rewards(status, hour, cands)):
+                v = r + values[(hour + 1, env._advance(status, env._bits_of(aint)))]
                 if v > best:
                     best = v
             values[(hour, status)] = best if best > -float("inf") else -BIG
@@ -87,9 +80,9 @@ def dp_greedy_solution(env: UnitCommitmentMDP, values) -> ScheduleSolution:
     plan = []
     for hour in range(env.horizon):
         best_a, best_v = None, -float("inf")
-        for aint in env._feasible_ints(state.status, hour):
+        cands = env._feasible_ints(state.status, hour)
+        for aint, r in zip(cands, env.rewards(state.status, hour, cands)):
             bits = env._bits_of(aint)
-            r = -env.dispatch_cost_int(aint, hour) - env.startup_outlay(state.status, bits)
             v = r + values[(hour + 1, env._advance(state.status, bits))]
             if v > best_v:
                 best_a, best_v = bits, v

@@ -8,9 +8,13 @@ draws only a few candidate actions per node, biased toward small Hamming
 deviations from the previous hour's action, which is where low-cost
 schedules concentrate: start-up prices and the up/down locks punish
 rapid re-commitment churn.
+
+Both searches score an edge with ``UnitCommitmentMDP.rewards``, the one
+definition of the hourly reward, share one root choice, and commit hour by
+hour through ``UnitCommitmentMDP.rollout``.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +63,34 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int) -> float:
     cands = env._feasible_ints(status, hour)
     if not cands:
         return -BIG
-    startups = env.startup_pairs(status)
     best = -float("inf")
-    for aint in cands:
-        r = -env.dispatch_cost_int(aint, hour)
-        for mask, price in startups:
-            if aint & mask:
-                r -= price
-        bits = env._bits_of(aint)
-        v = r + _search(env, env._advance(status, bits), hour + 1, depth - 1)
+    for aint, r in zip(cands, env.rewards(status, hour, cands)):
+        v = r + _search(env, env._advance(status, env._bits_of(aint)), hour + 1, depth - 1)
         if v > best:
             best = v
     return best
+
+
+def _best_root(env: UnitCommitmentMDP, state: SystemState, aints, tail, threads: int):
+    """Index and value of the best root candidate, scored as its reward plus
+    ``tail(index, child status)``.
+
+    Candidates ascend, so taking the first maximum breaks ties toward the
+    lexicographically smallest action.
+    """
+    rewards = env.rewards(state.status, state.hour, aints)
+
+    def score(k: int) -> float:
+        child = env._advance(state.status, env._bits_of(aints[k]))
+        return rewards[k] + tail(k, child)
+
+    if threads > 1 and len(aints) > 1:
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            values = list(pool.map(score, range(len(aints))))
+    else:
+        values = [score(k) for k in range(len(aints))]
+    best = max(range(len(values)), key=values.__getitem__)
+    return best, values[best]
 
 
 def find_best_action(
@@ -84,48 +104,21 @@ def find_best_action(
     cands = env._feasible_ints(state.status, state.hour)
     if not cands:
         raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
-    startups = env.startup_pairs(state.status)
 
-    def score(aint: int) -> float:
-        r = -env.dispatch_cost_int(aint, state.hour)
-        for mask, price in startups:
-            if aint & mask:
-                r -= price
-        bits = env._bits_of(aint)
-        return r + _search(env, env._advance(state.status, bits), state.hour + 1, lookahead - 1)
+    def tail(k, child):
+        return _search(env, child, state.hour + 1, lookahead - 1)
 
-    if threads > 1 and len(cands) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(score, cands))
-    else:
-        values = [score(a) for a in cands]
-
-    best_a, best_v = cands[0], values[0]
-    for aint, v in zip(cands[1:], values[1:]):
-        if v > best_v:  # candidates ascend lexicographically
-            best_a, best_v = aint, v
-    return env._bits_of(best_a), best_v
+    k, value = _best_root(env, state, cands, tail, threads)
+    return env._bits_of(cands[k]), value
 
 
 def tree_search_policy(
     s0: SystemState, config: SearchConfig, env: UnitCommitmentMDP
 ) -> ScheduleSolution:
     """Receding-horizon rollout of ``find_best_action`` over the full day."""
-    if s0.hour != 0:
-        raise ValueError("tree search starts from hour 0")
-    state = s0
-    actions = []
-    values = []
-    for t in range(env.horizon):
-        try:
-            action, value = find_best_action(state, config.lookahead, env, config.threads)
-        except NoFeasibleActionError as err:
-            raise NoFeasibleActionError(str(err), step=t) from None
-        actions.append(action)
-        values.append(value)
-        state = env.transition(state, action)
-    solution = env.replay(actions, s0)
-    return env.with_step_values(solution, values)
+    return env.rollout(
+        s0, lambda state, _: find_best_action(state, config.lookahead, env, config.threads)
+    )
 
 
 def sample_action_neighborhood(
@@ -165,18 +158,11 @@ def _search_sub(env, status, hour, depth, anchor, rng, cfg: SubsampleConfig) -> 
     cands = sample_action_neighborhood(anchor, state, cfg.sample_count, cfg.decay, rng, env)
     if not cands:
         return -BIG
-    startups = env.startup_pairs(status)
     best = -float("inf")
-    best_bits = None
-    for bits in cands:
-        aint = env._int_of(bits)
-        r = -env.dispatch_cost_int(aint, hour)
-        for mask, price in startups:
-            if aint & mask:
-                r -= price
+    for bits, r in zip(cands, env.rewards(status, hour, [env._int_of(b) for b in cands])):
         v = r + _search_sub(env, env._advance(status, bits), hour + 1, depth - 1, bits, rng, cfg)
-        if v > best or (v == best and bits < best_bits):
-            best, best_bits = v, bits
+        if v > best:
+            best = v
     return best
 
 
@@ -193,48 +179,25 @@ def subsampled_tree_search(
     """
     if config.subsample is None:
         raise ValueError("subsampled_tree_search requires a subsample config")
-    if s0.hour != 0:
-        raise ValueError("tree search starts from hour 0")
     cfg = config.subsample
     depth = config.lookahead
-    state = s0
-    anchor = tuple(1 if st > 0 else 0 for st in s0.status)
-    actions = []
-    values = []
-    for t in range(env.horizon):
+    first_anchor = tuple(1 if st > 0 else 0 for st in s0.status)
+
+    def choose(state, previous):
+        t = state.hour
+        anchor = first_anchor if previous is None else previous
         root_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
         cands = sample_action_neighborhood(
             anchor, state, cfg.sample_count, cfg.decay, root_rng, env
         )
         if not cands:
-            raise NoFeasibleActionError(f"no feasible action at hour {t}", step=t)
-        startups = env.startup_pairs(state.status)
+            raise NoFeasibleActionError(f"no feasible action at hour {t}")
 
-        def score(item) -> float:
-            i, bits = item
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, i]))
-            aint = env._int_of(bits)
-            r = -env.dispatch_cost_int(aint, t)
-            for mask, price in startups:
-                if aint & mask:
-                    r -= price
-            return r + _search_sub(
-                env, env._advance(state.status, bits), t + 1, depth - 1, bits, rng, cfg
-            )
+        def tail(k, child):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, k]))
+            return _search_sub(env, child, t + 1, depth - 1, cands[k], rng, cfg)
 
-        if config.threads > 1 and len(cands) > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                vals = list(pool.map(score, enumerate(cands)))
-        else:
-            vals = [score(item) for item in enumerate(cands)]
+        k, value = _best_root(env, state, [env._int_of(b) for b in cands], tail, config.threads)
+        return cands[k], value
 
-        best_bits, best_v = cands[0], vals[0]
-        for bits, v in zip(cands[1:], vals[1:]):
-            if v > best_v or (v == best_v and bits < best_bits):
-                best_bits, best_v = bits, v
-        actions.append(best_bits)
-        values.append(best_v)
-        anchor = best_bits
-        state = env.transition(state, best_bits)
-    solution = env.replay(actions, s0)
-    return env.with_step_values(solution, values)
+    return env.rollout(s0, choose)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,12 @@ def make_instance(gens, demand, reserve=None):
     return ProblemInstance(
         tuple(gens), DemandProfile(len(demand), demand, tuple(reserve))
     )
+
+
+def cold_start(instance):
+    """The same instance with every unit off and just free to start."""
+    gens = tuple(replace(g, initial_status=-g.t_down) for g in instance.generators)
+    return ProblemInstance(gens, instance.profile)
 
 
 def kkt_violation(result, gens, action):

@@ -10,6 +10,7 @@ from ucplan import (
     evaluate_states,
     exact_dp,
     exhaustive_optimum,
+    find_best_action,
     gen_instance,
     greedy_policy,
     nearest_neighbor,
@@ -19,7 +20,7 @@ from ucplan import (
 from ucplan.backsweep import ValueSlice
 from ucplan.core import STATUS_CAP
 
-from conftest import make_gen, make_instance
+from conftest import cold_start, make_gen, make_instance
 
 
 def terminal_anchor(env):
@@ -160,15 +161,23 @@ class TestSampleEnvironment:
 class TestEvaluateStates:
     def test_single_locked_step_value_is_the_forced_reward(self):
         gens = [make_gen(id=0, p_min=5.0, p_max=100.0, t_up=5, initial_status=1)]
-        inst = make_instance(gens, demand=[50.0], reserve=[5.0])
-        env = UnitCommitmentMDP(inst)
-        metric = StateDistanceMetric().for_instance(inst)
-        rng = np.random.default_rng(0)
-        vs = evaluate_states(1, SystemState((2,), 1), env, metric, rng)
-        s0 = vs.slice_at(0)
-        assert s0.states[0].status == (2,)
-        forced = env.reward(SystemState((2,), 0), (1,))
-        assert s0.values[0] == forced
+        locked = make_instance(gens, demand=[50.0], reserve=[5.0])
+        # both units off, and only starting both covers the hour: two
+        # start-up prices land in one reward
+        double_start = cold_start(gen_instance(2, 1, 1))
+        for inst, status, action in [(locked, (2,), (1,)), (double_start, (-2, -2), (1, 1))]:
+            env = UnitCommitmentMDP(inst)
+            state = SystemState(status, 0)
+            assert env.feasible_actions(state) == [action]
+            metric = StateDistanceMetric().for_instance(inst)
+            rng = np.random.default_rng(0)
+            vs = evaluate_states(1, SystemState(status, 1), env, metric, rng)
+            s0 = vs.slice_at(0)
+            assert s0.states[0].status == status
+            forced = env.reward(state, action)
+            assert s0.values[0] == forced
+            assert find_best_action(state, 1, env) == (action, forced)
+            assert exact_dp(env)[(0, status)] == forced
 
     def test_exhaustive_sampling_reproduces_exact_dp(self):
         inst = gen_instance(2, 4, 3)

@@ -14,6 +14,7 @@ from ucplan import (
     save_instance,
     validate_instance,
 )
+from ucplan import harness
 from ucplan.cli import main as uc_main
 from ucplan.harness import (
     instance_to_dict,
@@ -98,6 +99,22 @@ class TestRun:
         report = run(inst, "tree", lookahead=6)
         assert report.objective == report.solution.cost.objective
         assert report.generation + report.startup == report.objective
+
+    def test_audit_catches_a_wrong_memoised_dispatch_cost(self, monkeypatch):
+        inst = gen_instance(3, 6, 1)
+        first = run(inst, "tree").solution.actions[0]
+
+        class InflatedMemo(UnitCommitmentMDP):
+            """Serves the committed first action's hour-0 cost 1e-6 too high."""
+
+            def __init__(self, instance):
+                super().__init__(instance)
+                aint = self._int_of(first)
+                self._dispatch_cost_memo[(aint, 0)] = self.dispatch_cost_int(aint, 0) * (1 + 1e-6)
+
+        monkeypatch.setattr(harness, "UnitCommitmentMDP", InflatedMemo)
+        with pytest.raises(RuntimeError, match="audit failed"):
+            run(inst, "tree")
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -188,6 +205,32 @@ class TestCli:
             "solve", "-i", str(path), "--algo", "tree", "-H", "1", "-o", str(tmp_path / "out")
         ]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algo, bad",
+        [
+            ("tree", ["-H", "0"]),
+            ("tree-sub", ["-K", "0"]),
+            ("tree-sub", ["--rho", "1.5"]),
+            ("backsweep", ["--ns", "0"]),
+            ("tree", ["--threads", "0"]),
+            ("backsweep", ["--warm-start", "foo"]),
+            ("tree-sub", ["--seed", "-1"]),
+            ("tree", ["-i", "missing.json"]),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+    )
+    def test_bad_solve_input_gives_one_error_line(
+        self, tmp_path, capsys, monkeypatch, algo, bad
+    ):
+        monkeypatch.chdir(tmp_path)
+        save_instance(gen_instance(3, 6, 1), tmp_path / "tiny.json")
+        argv = ["solve", "-i", "tiny.json", "--algo", algo, "-o", "out", *bad]
+        assert uc_main(argv) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert bad[0] in err[0] or bad[1] in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         inst_path = tmp_path / "tiny.json"

@@ -18,7 +18,7 @@ from ucplan import (
     tree_search_policy,
 )
 
-from conftest import make_gen, make_instance
+from conftest import cold_start, make_gen, make_instance
 
 
 class TestFindBestAction:
@@ -60,19 +60,20 @@ class TestFindBestAction:
             find_best_action(SystemState((-1,), 0), 2, env)
 
     def test_value_consistent_with_recursive_descent(self):
-        # v(s, H) == r(s, a*) + v(f(s, a*), H-1), replayed to the cutoff
-        inst = gen_instance(3, 6, seed=4)
-        env = UnitCommitmentMDP(inst)
+        # v(s, H) == r(s, a*) + v(f(s, a*), H-1), replayed to the cutoff;
+        # the cold pair's best first action starts both units at once
+        for inst in (gen_instance(3, 6, seed=4), cold_start(gen_instance(2, 10, 3))):
+            env = UnitCommitmentMDP(inst)
 
-        def descend(state, depth):
-            if depth == 0 or state.hour == env.horizon:
-                return 0.0
-            action, value = find_best_action(state, depth, env)
-            tail = descend(env.transition(state, action), depth - 1)
-            assert value == env.reward(state, action) + tail
-            return value
+            def descend(state, depth):
+                if depth == 0 or state.hour == env.horizon:
+                    return 0.0
+                action, value = find_best_action(state, depth, env)
+                tail = descend(env.transition(state, action), depth - 1)
+                assert value == env.reward(state, action) + tail
+                return value
 
-        descend(env.initial_state(), 4)
+            descend(env.initial_state(), 4)
 
 
 class TestTreeSearchPolicy:
