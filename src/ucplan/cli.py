@@ -52,6 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    for flag, value in (("-N", args.N), ("-T", args.T)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     instance = harness.gen_instance(args.N, args.T, args.seed)
     harness.save_instance(instance, args.out)
     print(f"wrote N={args.N}, T={args.T}, seed={args.seed} instance to {args.out}")

@@ -11,7 +11,9 @@ rapid re-commitment churn.
 
 Both searches score an edge with ``UnitCommitmentMDP.rewards``, the one
 definition of the hourly reward, share one root choice, and commit hour by
-hour through ``UnitCommitmentMDP.rollout``.
+hour through ``UnitCommitmentMDP.rollout``.  A node whose children sit at
+the depth cutoff scores its candidates straight from the reward vector,
+minus ``BIG`` for each child with no feasible action (``_cutoff_values``).
 """
 
 from concurrent import futures
@@ -52,17 +54,33 @@ class SearchConfig:
             raise ValueError("threads must be >= 1")
 
 
+def _cutoff_values(env: UnitCommitmentMDP, status, hour: int, aints) -> list[float]:
+    """Each candidate's reward plus its child's value at the depth cutoff:
+    0, or -BIG where the child is a catastrophe state."""
+    dead = env.dead_ends(status, hour, aints)
+    return [r + (-BIG if d else 0.0) for r, d in zip(env.rewards(status, hour, aints), dead)]
+
+
+def _at_cutoff(env: UnitCommitmentMDP, hour: int, depth: int) -> bool:
+    """Whether the children of a node at ``hour`` with ``depth`` steps left
+    are leaves."""
+    return depth == 1 or hour + 1 == env.horizon
+
+
 def _search(env: UnitCommitmentMDP, status, hour: int, depth: int) -> float:
     """Best cumulative reward over ``depth`` more steps from (status, hour).
 
     Returns 0 at the depth cutoff or the terminal hour; -BIG from a
-    catastrophe state so any feasible branch dominates.
+    catastrophe state, including one a step past the cutoff, so any
+    feasible branch dominates.
     """
     if depth == 0 or hour == env.horizon:
         return 0.0
     cands = env._feasible_ints(status, hour)
     if not cands:
         return -BIG
+    if _at_cutoff(env, hour, depth):
+        return max(_cutoff_values(env, status, hour, cands))
     best = -float("inf")
     for aint, r in zip(cands, env.rewards(status, hour, cands)):
         v = r + _search(env, env._advance(status, env._bits_of(aint)), hour + 1, depth - 1)
@@ -71,13 +89,20 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int) -> float:
     return best
 
 
-def _best_root(env: UnitCommitmentMDP, state: SystemState, aints, tail, threads: int):
+def _best_root(
+    env: UnitCommitmentMDP, state: SystemState, aints, depth: int, tail, threads: int
+):
     """Index and value of the best root candidate, scored as its reward plus
-    ``tail(index, child status)``.
+    ``tail(index, child status)``, or by ``_cutoff_values`` when the
+    children are leaves.
 
     Candidates ascend, so taking the first maximum breaks ties toward the
     lexicographically smallest action.
     """
+    if _at_cutoff(env, state.hour, depth):
+        values = _cutoff_values(env, state.status, state.hour, aints)
+        best = max(range(len(values)), key=values.__getitem__)
+        return best, values[best]
     rewards = env.rewards(state.status, state.hour, aints)
 
     def score(k: int) -> float:
@@ -108,7 +133,7 @@ def find_best_action(
     def tail(k, child):
         return _search(env, child, state.hour + 1, lookahead - 1)
 
-    k, value = _best_root(env, state, cands, tail, threads)
+    k, value = _best_root(env, state, cands, lookahead, tail, threads)
     return env._bits_of(cands[k]), value
 
 
@@ -158,8 +183,11 @@ def _search_sub(env, status, hour, depth, anchor, rng, cfg: SubsampleConfig) -> 
     cands = sample_action_neighborhood(anchor, state, cfg.sample_count, cfg.decay, rng, env)
     if not cands:
         return -BIG
+    aints = [env._int_of(b) for b in cands]
+    if _at_cutoff(env, hour, depth):
+        return max(_cutoff_values(env, status, hour, aints))
     best = -float("inf")
-    for bits, r in zip(cands, env.rewards(status, hour, [env._int_of(b) for b in cands])):
+    for bits, r in zip(cands, env.rewards(status, hour, aints)):
         v = r + _search_sub(env, env._advance(status, bits), hour + 1, depth - 1, bits, rng, cfg)
         if v > best:
             best = v
@@ -197,7 +225,8 @@ def subsampled_tree_search(
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, k]))
             return _search_sub(env, child, t + 1, depth - 1, cands[k], rng, cfg)
 
-        k, value = _best_root(env, state, [env._int_of(b) for b in cands], tail, config.threads)
+        aints = [env._int_of(b) for b in cands]
+        k, value = _best_root(env, state, aints, depth, tail, config.threads)
         return cands[k], value
 
     return env.rollout(s0, choose)

@@ -1,15 +1,22 @@
+import itertools
+from math import fsum
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ucplan import (
     InfeasibleDispatchError,
     check_set_limits,
+    dispatch_costs,
     economic_dispatch,
     generation_cost,
     grid_dispatch,
+    load_instance,
 )
 
-from conftest import kkt_violation, make_gen
+from conftest import INSTANCES, kkt_violation, make_gen
 
 
 def random_fleet(rng, n, linear_share=0.0):
@@ -173,3 +180,77 @@ class TestDispatchProperties:
         result = economic_dispatch((1, 1), 70.0, gens)
         expected = sum(generation_cost(g, p) for g, p in zip(gens, result.power))
         assert result.cost == pytest.approx(expected, rel=1e-15)
+
+
+def scalar_costs(rows, demand, gens):
+    return [economic_dispatch(row, demand, gens).cost for row in rows]
+
+
+@st.composite
+def fleets(draw):
+    """1 to 16 units; some linear (a == 0), marginal prices often tied."""
+    gens = []
+    for i in range(draw(st.integers(1, 16))):
+        p_min = draw(st.floats(0.0, 200.0))
+        gens.append(make_gen(
+            id=i,
+            a=draw(st.sampled_from([0.0, 0.01]) | st.floats(1e-3, 0.05)),
+            b=draw(st.sampled_from([8.0, 12.0]) | st.floats(5.0, 30.0)),
+            c=draw(st.floats(0.0, 500.0)),
+            p_min=p_min,
+            p_max=p_min + draw(st.floats(0.0, 300.0)),
+        ))
+    return gens
+
+
+class TestBatchedDispatch:
+    """``dispatch_costs`` must equal the scalar solver's costs bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gens=fleets(), data=st.data())
+    def test_equals_scalar_on_random_fleets(self, gens, data):
+        n = len(gens)
+        rows = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=40))
+        first = [g for g, bit in zip(gens, rows[0]) if bit]
+        lo = sum(g.p_min for g in first)
+        hi = sum(g.p_max for g in first)
+        demand = data.draw(st.floats(lo, hi))
+
+        def coverable(row):
+            units = [g for g, bit in zip(gens, row) if bit]
+            # economic_dispatch never returns for a demand above fsum of the
+            # committed p_max that Python's sum still admits, so stay below it
+            return units and sum(g.p_min for g in units) <= demand <= fsum(
+                g.p_max for g in units)
+
+        rows = [row for row in rows if coverable(row)]
+        assume(rows)
+        assert dispatch_costs(rows, demand, gens) == scalar_costs(rows, demand, gens)
+
+    @pytest.mark.parametrize("name", ["n8_t24", "n12_t24"])
+    def test_equals_scalar_on_every_feasible_set_of_the_bundled_instances(self, name):
+        inst = load_instance(INSTANCES / f"{name}.json")
+        gens = inst.generators
+        actions = list(itertools.product((0, 1), repeat=inst.n_units))
+        for demand, reserve in zip(inst.profile.demand, inst.profile.reserve):
+            rows = [row for row in actions if check_set_limits(row, demand, reserve, gens)]
+            assert dispatch_costs(rows, demand, gens) == scalar_costs(rows, demand, gens)
+
+    def test_price_step_fallback(self):
+        # the fleet of test_degenerate_tie_resolved_by_id: two linear units at
+        # one price, so the bisection bracket collapses on the price step
+        gens = [
+            make_gen(id=0, a=0.0, b=8.0, p_min=0.0, p_max=10.0),
+            make_gen(id=1, a=0.0, b=8.0, p_min=0.0, p_max=10.0),
+        ]
+        rows = [(1, 1), (1, 0), (0, 1)]
+        assert economic_dispatch((1, 1), 5.0, gens).degenerate
+        for demand in (5.0, 10.0):
+            assert dispatch_costs(rows, demand, gens) == scalar_costs(rows, demand, gens)
+
+    def test_empty_and_infeasible_sets_behave_as_the_scalar_solver(self):
+        gens = [make_gen(id=0, p_min=10.0, p_max=100.0), make_gen(id=1, p_min=10.0, p_max=100.0)]
+        assert dispatch_costs([], 50.0, gens) == []
+        assert dispatch_costs([(0, 0)], 0.0, gens) == [0.0]
+        with pytest.raises(InfeasibleDispatchError):
+            dispatch_costs([(1, 1), (1, 0)], 150.0, gens)

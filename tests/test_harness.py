@@ -185,18 +185,19 @@ class TestCli:
         assert uc_main(["verify", "-i", str(INSTANCES / "n12_t24.json")]) == 2
 
     def test_solver_failure_exits_nonzero(self, tmp_path, capsys):
-        # H=1 walks into the hour-1 trap on this crafted instance
+        # H=1 walks into the hour-2 trap on this crafted instance: switching
+        # unit 1 off at hour 0 locks it off through the hour-2 peak
         data = {
-            "horizon": 2,
-            "demand_mw": [40.0, 150.0],
-            "reserve_mw": [0.0, 0.0],
+            "horizon": 3,
+            "demand_mw": [40.0, 40.0, 150.0],
+            "reserve_mw": [0.0, 0.0, 0.0],
             "generators": [
                 {"id": 0, "a": 0.0, "b": 1.0, "c": 0.0, "e": 0.0, "f": 0.0,
                  "g": 0.1, "h": 0.1, "p_min_mw": 0.0, "p_max_mw": 100.0,
-                 "t_up_h": 1, "t_down_h": 2, "initial_status_h": 5},
-                {"id": 1, "a": 0.0, "b": 50.0, "c": 0.0, "e": 100000.0, "f": 0.0,
+                 "t_up_h": 1, "t_down_h": 3, "initial_status_h": 5},
+                {"id": 1, "a": 0.0, "b": 50.0, "c": 10.0, "e": 100000.0, "f": 0.0,
                  "g": 0.0, "h": 0.0, "p_min_mw": 0.0, "p_max_mw": 100.0,
-                 "t_up_h": 1, "t_down_h": 2, "initial_status_h": 5},
+                 "t_up_h": 1, "t_down_h": 3, "initial_status_h": 5},
             ],
         }
         path = tmp_path / "trap.json"
@@ -204,7 +205,8 @@ class TestCli:
         assert uc_main([
             "solve", "-i", str(path), "--algo", "tree", "-H", "1", "-o", str(tmp_path / "out")
         ]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "hour 2" in err[0]
 
     @pytest.mark.parametrize(
         "algo, bad",
@@ -217,15 +219,21 @@ class TestCli:
             ("backsweep", ["--warm-start", "foo"]),
             ("tree-sub", ["--seed", "-1"]),
             ("tree", ["-i", "missing.json"]),
+            ("gen", ["-N", "0"]),
+            ("gen", ["-T", "0"]),
+            ("gen", ["--seed", "-1"]),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, list) else x,
     )
     def test_bad_solve_input_gives_one_error_line(
         self, tmp_path, capsys, monkeypatch, algo, bad
     ):
+        """``algo`` "gen" checks ``uc gen -N 1 -T 6`` instead of a solve."""
         monkeypatch.chdir(tmp_path)
         save_instance(gen_instance(3, 6, 1), tmp_path / "tiny.json")
-        argv = ["solve", "-i", "tiny.json", "--algo", algo, "-o", "out", *bad]
+        command = ["gen", "-N", "1", "-T", "6"] if algo == "gen" else [
+            "solve", "-i", "tiny.json", "--algo", algo]
+        argv = [*command, "-o", "out", *bad]
         assert uc_main(argv) != 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")

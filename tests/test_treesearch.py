@@ -126,16 +126,29 @@ class TestTreeSearchPolicy:
     def test_rollout_dead_end_reports_step(self):
         gens = [
             make_gen(id=0, a=0.0, b=1.0, c=0.0, e=0.0, f=0.0, p_min=0.0, p_max=100.0,
-                     t_down=2, initial_status=5),
-            make_gen(id=1, a=0.0, b=50.0, c=0.0, e=1e5, f=0.0, g=0.0, h=0.0,
-                     p_min=0.0, p_max=100.0, t_down=2, initial_status=5),
+                     t_down=3, initial_status=5),
+            make_gen(id=1, a=0.0, b=50.0, c=10.0, e=1e5, f=0.0, g=0.0, h=0.0,
+                     p_min=0.0, p_max=100.0, t_down=3, initial_status=5),
         ]
-        # hour 0 is coverable by unit 0 alone; hour 1 needs both units
-        inst = make_instance(gens, demand=[40.0, 150.0], reserve=[0.0, 0.0])
+        # hours 0 and 1 are coverable by unit 0 alone; hour 2 needs both
+        # units, and unit 1 switched off at hour 0 stays locked off until 3
+        inst = make_instance(gens, demand=[40.0, 40.0, 150.0], reserve=[0.0, 0.0, 0.0])
         env = UnitCommitmentMDP(inst)
         with pytest.raises(NoFeasibleActionError) as err:
             tree_search_policy(env.initial_state(), SearchConfig(1), env)
-        assert err.value.step == 1
+        assert err.value.step == 2
+        # one more hour of lookahead sees the trap
+        assert tree_search_policy(env.initial_state(), SearchConfig(2), env).actions[0] == (1, 1)
+
+    def test_lookahead_sees_a_dead_end_one_hour_past_the_cutoff(self):
+        inst = gen_instance(3, 4, 1)
+        env = UnitCommitmentMDP(inst)
+        deep = tree_search_policy(env.initial_state(), SearchConfig(4), env)
+        for lookahead in (1, 2):
+            plan = tree_search_policy(env.initial_state(), SearchConfig(lookahead), env)
+            assert plan.objective == deep.objective
+        config = SearchConfig(1, SubsampleConfig(64, 0.5))
+        assert subsampled_tree_search(env.initial_state(), config, env).objective == deep.objective
 
     def test_starts_only_from_hour_zero(self, two_unit_instance):
         env = UnitCommitmentMDP(two_unit_instance)
