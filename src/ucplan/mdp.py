@@ -186,12 +186,13 @@ class UnitCommitmentMDP:
         off = sum(mask for mask, _ in starts)
         memo = self._dispatch_cost_memo
         costs = [memo.get((aint, hour)) for aint in aints]
-        missing = [aint for aint, cost in zip(aints, costs) if cost is None]
+        missing = [k for k, cost in enumerate(costs) if cost is None]
         if len(missing) >= _BATCH_MIN:
-            bits = (np.array(missing)[:, None] & np.array(self._mask)) != 0
+            batch = [aints[k] for k in missing]
+            bits = (np.array(batch)[:, None] & np.array(self._mask)) != 0
             demand = self.instance.profile.demand[hour]
-            for aint, cost in zip(missing, dispatch_costs(bits, demand, self._gens)):
-                memo[aint, hour] = cost
+            for k, aint, cost in zip(missing, batch, dispatch_costs(bits, demand, self._gens)):
+                memo[aint, hour] = costs[k] = cost
         bills = {0: 0.0}  # start-up bill by the set of units switched on
         out = []
         for aint, cost in zip(aints, costs):
