@@ -218,10 +218,11 @@ class TestBatchedDispatch:
 
         def coverable(row):
             units = [g for g, bit in zip(gens, row) if bit]
-            # economic_dispatch never returns for a demand above fsum of the
-            # committed p_max that Python's sum still admits, so stay below it
-            return units and sum(g.p_min for g in units) <= demand <= fsum(
-                g.p_max for g in units)
+            cap = sum(g.p_max for g in units)  # the scalar solver's own check
+            # economic_dispatch never returns for a demand above the fsum of
+            # the committed p_max that this sum still admits, so stay below it
+            cap = min(cap, fsum(g.p_max for g in units))
+            return units and sum(g.p_min for g in units) <= demand <= cap
 
         rows = [row for row in rows if coverable(row)]
         assume(rows)

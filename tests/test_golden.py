@@ -1,9 +1,10 @@
 """Golden values pinned before a change to the solvers' arithmetic.
 
 The small-instance digests were recorded before the reward kernel was
-unified, the bundled-instance ones before dispatch was batched.  Each digest covers a solver's emitted ``schedule.csv`` text plus the
-``repr`` of its per-hour step values, so a change in the last bit of any
-value the search reports fails here.  The solver instance has a
+unified, the bundled-instance ones before dispatch was batched.  Each
+digest covers a solver's emitted ``schedule.csv`` text plus the ``repr``
+of its per-hour step values, so a change in the last bit of any value
+the search reports fails here.  The small solver instance has a
 multi-start-up hour in all three plans; the oracle instance starts both
 units off, and its optimum starts both in hour 0.  Never re-record these
 to make a refactor pass: a mismatch is a behaviour change.

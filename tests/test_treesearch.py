@@ -13,6 +13,7 @@ from ucplan import (
     exhaustive_optimum,
     find_best_action,
     gen_instance,
+    run,
     sample_action_neighborhood,
     subsampled_tree_search,
     tree_search_policy,
@@ -149,6 +150,8 @@ class TestTreeSearchPolicy:
             assert plan.objective == deep.objective
         config = SearchConfig(1, SubsampleConfig(64, 0.5))
         assert subsampled_tree_search(env.initial_state(), config, env).objective == deep.objective
+        # the back sweep's default warm start is tree H=1
+        assert run(inst, "backsweep").objective == deep.objective
 
     def test_starts_only_from_hour_zero(self, two_unit_instance):
         env = UnitCommitmentMDP(two_unit_instance)
