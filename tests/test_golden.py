@@ -1,10 +1,11 @@
 """Golden values pinned before a change to the solvers' arithmetic.
 
 The small-instance digests were recorded before the reward kernel was
-unified, the bundled-instance ones before dispatch was batched.  Each
-digest covers a solver's emitted ``schedule.csv`` text plus the ``repr``
-of its per-hour step values, so a change in the last bit of any value
-the search reports fails here.  The small solver instance has a
+unified, the bundled-instance tree ones before dispatch was batched, and
+the bundled-instance tree-sub ones before the two search recursions were
+merged.  Each digest covers a solver's emitted ``schedule.csv`` text plus
+the ``repr`` of its per-hour step values, so a change in the last bit of
+any value the search reports fails here.  The small solver instance has a
 multi-start-up hour in all three plans; the oracle instance starts both
 units off, and its optimum starts both in hour 0.  Never re-record these
 to make a refactor pass: a mismatch is a behaviour change.
@@ -44,6 +45,16 @@ BUNDLED_TREE_DIGESTS = {
     ("n12_t24", 2): "cf60d5372808069556112ac2d50c657376f4f64700925bc8bb9649c34950e0eb",
 }
 
+# sub-sampled tree search (rho 0.5, seed 0) on the bundled instances:
+# (instance, H, K) -> digest
+BUNDLED_TREE_SUB_DIGESTS = {
+    ("n8_t24", 1, 64): "b2276797e1c6a405f802470fb30db7fde5e9db51cc0b557f5c45ffdcde60d000",
+    ("n8_t24", 2, 16): "d0321c60a341c1264599c6d761beba3d383a14b90da49a8bceb788411d2850b2",
+    ("n8_t24", 3, 64): "1ba4b35d9afd8f14d8ed8d73b0ec11cd7ac62481d0a483eefac0b1afff033f49",
+    ("n12_t24", 1, 64): "71d7130ea1b794613ac174184e0240eb998ba6a029f656f1a87e4b950253ee3a",
+    ("n12_t24", 2, 16): "9854a4d78c58871d6e862e4029c24d0c633b09abe3f068e46f3068781b795626",
+}
+
 EXACT_DP_DIGEST = "943382c9e6e6612749be0b1d92b2722568b78274a990ebe9ccb336186013ae5b"
 
 
@@ -72,6 +83,15 @@ def test_bundled_tree_plans_are_unchanged(name, lookahead):
     sol = run(inst, "tree", lookahead=lookahead).solution
     digest = sha256(schedule_csv_text(sol, inst) + repr(sol.step_values))
     assert digest == BUNDLED_TREE_DIGESTS[name, lookahead]
+
+
+@pytest.mark.parametrize("name, lookahead, sample_count", sorted(BUNDLED_TREE_SUB_DIGESTS))
+def test_bundled_tree_sub_plans_are_unchanged(name, lookahead, sample_count):
+    inst = load_instance(INSTANCES / f"{name}.json")
+    kwargs = dict(lookahead=lookahead, sample_count=sample_count, rho=0.5, seed=0)
+    sol = run(inst, "tree-sub", **kwargs).solution
+    digest = sha256(schedule_csv_text(sol, inst) + repr(sol.step_values))
+    assert digest == BUNDLED_TREE_SUB_DIGESTS[name, lookahead, sample_count]
 
 
 def test_exhaustive_plan_is_unchanged():
