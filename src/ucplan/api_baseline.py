@@ -114,23 +114,15 @@ class PerceptronTreePolicy:
         return tuple(bits)
 
     def classify(self, state: SystemState, env) -> CommitmentAction:
-        """Tree-predicted action projected onto the feasible set: locked
-        bits are flipped to their forced values, and if the hourly limits
-        still fail, the Hamming-nearest feasible action is used."""
-        raw = self._raw_bits(state, env)
-        forced = list(raw)
-        for i, st in enumerate(state.status):
-            if 0 < st < env._t_up[i]:
-                forced[i] = 1
-            elif -env._t_down[i] < st < 0:
-                forced[i] = 0
-        forced = tuple(forced)
-        feas = env.feasible_actions(state)
+        """Tree-predicted action projected onto the feasible set: the
+        Hamming-nearest feasible action, ties to the smallest.  Every
+        feasible action carries the locked bits, so forcing them first
+        would change no distance ranking."""
+        raw = env._int_of(self._raw_bits(state, env))
+        feas = env._feasible_ints(state.status, state.hour)
         if not feas:
             raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
-        if forced in feas:
-            return forced
-        return min(feas, key=lambda a: (sum(x != y for x, y in zip(a, forced)), a))
+        return env._bits_of(min(feas, key=lambda a: (a ^ raw).bit_count()))
 
     def update(self, state: SystemState, target: CommitmentAction, env) -> None:
         """Perceptron updates along the target's bit path."""

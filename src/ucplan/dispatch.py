@@ -173,7 +173,10 @@ def economic_dispatch(action, demand: float, gens) -> DispatchResult:
 
     lam_lo = min(g.b for g in committed)
     lam_hi = max(2.0 * g.a * g.p_max + g.b for g in committed)
-    while fsum(_response(lam_hi, committed)) < demand:
+    # with every unit at p_max a higher price adds nothing: demand then lies
+    # above the fsum of the capacities but within the sum the check admits
+    top = [g.p_max for g in committed]
+    while fsum(p := _response(lam_hi, committed)) < demand and p != top:
         lam_hi += max(1.0, lam_hi - lam_lo)
 
     tol = 1e-9 * max(demand, 1e-9)

@@ -9,11 +9,16 @@ deviations from the previous hour's action, which is where low-cost
 schedules concentrate: start-up prices and the up/down locks punish
 rapid re-commitment churn.
 
-Both searches score an edge with ``UnitCommitmentMDP.rewards``, the one
-definition of the hourly reward, share one root choice, and commit hour by
-hour through ``UnitCommitmentMDP.rollout``.  A node whose children sit at
-the depth cutoff scores its candidates straight from the reward vector,
-minus ``BIG`` for each child with no feasible action (``_cutoff_values``).
+Both searches run one recursion, ``_search``, over bit-packed actions and
+differ only in where a node's candidates come from: the whole feasible set
+(``UnitCommitmentMDP._feasible_ints``), or ``sample_action_neighborhood``
+around the action that reached the node, with Hamming distances taken as
+the popcount of an XOR.  Both score an edge with
+``UnitCommitmentMDP.rewards``, the one definition of the hourly reward,
+share one root choice, and commit hour by hour through
+``UnitCommitmentMDP.rollout``.  A node whose children sit at the depth
+cutoff scores its candidates straight from the reward vector, minus
+``BIG`` for each child with no feasible action (``_cutoff_values``).
 """
 
 from concurrent import futures
@@ -67,34 +72,41 @@ def _at_cutoff(env: UnitCommitmentMDP, hour: int, depth: int) -> bool:
     return depth == 1 or hour + 1 == env.horizon
 
 
-def _search(env: UnitCommitmentMDP, status, hour: int, depth: int) -> float:
-    """Best cumulative reward over ``depth`` more steps from (status, hour).
+def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor) -> float:
+    """Best cumulative reward over ``depth`` more steps from (status, hour),
+    over the candidates ``expand(status, hour, anchor)`` of each node.
 
-    Returns 0 at the depth cutoff or the terminal hour; -BIG from a
-    catastrophe state, including one a step past the cutoff, so any
+    Every child is expanded around the bit-packed action that reached it.
+    Callers stop above the depth cutoff and the terminal hour: a node whose
+    children are leaves scores them with ``_cutoff_values``.  Returns -BIG
+    from a catastrophe state, including one a step past the cutoff, so any
     feasible branch dominates.
     """
-    if depth == 0 or hour == env.horizon:
-        return 0.0
-    cands = env._feasible_ints(status, hour)
+    cands = expand(status, hour, anchor)
     if not cands:
         return -BIG
     if _at_cutoff(env, hour, depth):
         return max(_cutoff_values(env, status, hour, cands))
     best = -float("inf")
     for aint, r in zip(cands, env.rewards(status, hour, cands)):
-        v = r + _search(env, env._advance(status, env._bits_of(aint)), hour + 1, depth - 1)
+        child = env._advance(status, env._bits_of(aint))
+        v = r + _search(env, child, hour + 1, depth - 1, expand, aint)
         if v > best:
             best = v
     return best
 
 
+# ``benchmark/spans.py`` patches ``_search_sub`` by name, so the name stays
+# bound to the one recursion.
+_search_sub = _search
+
+
 def _best_root(
-    env: UnitCommitmentMDP, state: SystemState, aints, depth: int, tail, threads: int
+    env: UnitCommitmentMDP, state: SystemState, aints, depth: int, expand_for, threads: int
 ):
-    """Index and value of the best root candidate, scored as its reward plus
-    ``tail(index, child status)``, or by ``_cutoff_values`` when the
-    children are leaves.
+    """Index and value of the best root candidate: its reward plus the
+    ``_search`` value of its child, which expands with ``expand_for(index)``,
+    or ``_cutoff_values`` when the children are leaves.
 
     Candidates ascend, so taking the first maximum breaks ties toward the
     lexicographically smallest action.
@@ -107,7 +119,9 @@ def _best_root(
 
     def score(k: int) -> float:
         child = env._advance(state.status, env._bits_of(aints[k]))
-        return rewards[k] + tail(k, child)
+        return rewards[k] + _search(
+            env, child, state.hour + 1, depth - 1, expand_for(k), aints[k]
+        )
 
     if threads > 1 and len(aints) > 1:
         with futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -130,10 +144,10 @@ def find_best_action(
     if not cands:
         raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
 
-    def tail(k, child):
-        return _search(env, child, state.hour + 1, lookahead - 1)
+    def expand(status, hour, _anchor):
+        return env._feasible_ints(status, hour)
 
-    k, value = _best_root(env, state, cands, lookahead, tail, threads)
+    k, value = _best_root(env, state, cands, lookahead, lambda _k: expand, threads)
     return env._bits_of(cands[k]), value
 
 
@@ -147,51 +161,34 @@ def tree_search_policy(
 
 
 def sample_action_neighborhood(
-    a_prev: CommitmentAction,
-    state: SystemState,
+    anchor: int,
+    status,
+    hour: int,
     sample_count: int,
     decay: float,
     rng: np.random.Generator,
     env: UnitCommitmentMDP,
-) -> list[CommitmentAction]:
-    """Sample distinct feasible actions near ``a_prev``.
+) -> list[int]:
+    """Sample distinct feasible bit-packed actions near ``anchor``, ascending.
 
     Inclusion probability is proportional to decay**d where d is the
-    Hamming distance to the anchor; the anchor (or its nearest feasible
-    projection) is always kept.  Returns the whole feasible set when
-    ``sample_count`` covers it, the empty list from a catastrophe state.
+    Hamming distance (popcount of the XOR) to the anchor; the anchor, or
+    its nearest feasible projection with ties to the smallest action, is
+    always kept.  Returns the whole feasible set when ``sample_count``
+    covers it, the empty list from a catastrophe state.
     """
-    feas = env.feasible_actions(state)
+    feas = env._feasible_ints(status, hour)
     if not feas:
         return []
-    dist = [sum(x != y for x, y in zip(a, a_prev)) for a in feas]
+    dist = [(a ^ anchor).bit_count() for a in feas]
+    nearest = dist.index(min(dist))
     take = min(sample_count, len(feas))
-    anchor = min(range(len(feas)), key=lambda i: (dist[i], feas[i]))
-    chosen = {anchor}
-    if take > 1:
-        rest = np.array([i for i in range(len(feas)) if i != anchor])
-        w = np.array([decay ** dist[i] for i in rest])
-        picked = rng.choice(rest, size=take - 1, replace=False, p=w / w.sum())
-        chosen.update(int(i) for i in picked)
-    return [feas[i] for i in sorted(chosen)]
-
-
-def _search_sub(env, status, hour, depth, anchor, rng, cfg: SubsampleConfig) -> float:
-    if depth == 0 or hour == env.horizon:
-        return 0.0
-    state = SystemState(status, hour)
-    cands = sample_action_neighborhood(anchor, state, cfg.sample_count, cfg.decay, rng, env)
-    if not cands:
-        return -BIG
-    aints = [env._int_of(b) for b in cands]
-    if _at_cutoff(env, hour, depth):
-        return max(_cutoff_values(env, status, hour, aints))
-    best = -float("inf")
-    for bits, r in zip(cands, env.rewards(status, hour, aints)):
-        v = r + _search_sub(env, env._advance(status, bits), hour + 1, depth - 1, bits, rng, cfg)
-        if v > best:
-            best = v
-    return best
+    if take == 1:
+        return [feas[nearest]]
+    rest = [i for i in range(len(feas)) if i != nearest]
+    w = np.array([decay ** dist[i] for i in rest])
+    picked = rng.choice(np.array(rest), size=take - 1, replace=False, p=w / w.sum())
+    return [feas[i] for i in sorted({nearest, *picked.tolist()})]
 
 
 def subsampled_tree_search(
@@ -209,24 +206,29 @@ def subsampled_tree_search(
         raise ValueError("subsampled_tree_search requires a subsample config")
     cfg = config.subsample
     depth = config.lookahead
-    first_anchor = tuple(1 if st > 0 else 0 for st in s0.status)
+    first_anchor = env._int_of(1 if st > 0 else 0 for st in s0.status)
 
     def choose(state, previous):
         t = state.hour
-        anchor = first_anchor if previous is None else previous
+        anchor = first_anchor if previous is None else env._int_of(previous)
         root_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
         cands = sample_action_neighborhood(
-            anchor, state, cfg.sample_count, cfg.decay, root_rng, env
+            anchor, state.status, t, cfg.sample_count, cfg.decay, root_rng, env
         )
         if not cands:
             raise NoFeasibleActionError(f"no feasible action at hour {t}")
 
-        def tail(k, child):
+        def expand_for(k):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, k]))
-            return _search_sub(env, child, t + 1, depth - 1, cands[k], rng, cfg)
 
-        aints = [env._int_of(b) for b in cands]
-        k, value = _best_root(env, state, aints, depth, tail, config.threads)
-        return cands[k], value
+            def expand(status, hour, anchor):
+                return sample_action_neighborhood(
+                    anchor, status, hour, cfg.sample_count, cfg.decay, rng, env
+                )
+
+            return expand
+
+        k, value = _best_root(env, state, cands, depth, expand_for, config.threads)
+        return env._bits_of(cands[k]), value
 
     return env.rollout(s0, choose)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,40 @@ class TestPerceptronTree:
                 if not env.feasible_actions(state):
                     continue
                 assert policy.classify(state, env) in env.feasible_actions(state)
+
+    def test_projection_matches_forcing_locks_first(self):
+        # unit 0 is locked off; the other three are free but any three
+        # minimum outputs together exceed the demand
+        gens = [make_gen(id=i, p_min=30.0, p_max=100.0, t_down=3) for i in range(4)]
+        env = UnitCommitmentMDP(make_instance(gens, demand=[80.0, 80.0], reserve=[0.0, 0.0]))
+
+        def forced_then_nearest(policy, state):
+            raw = policy._raw_bits(state, env)
+            forced = tuple(
+                1 if 0 < st < env._t_up[i] else 0 if -env._t_down[i] < st < 0 else bit
+                for i, (bit, st) in enumerate(zip(raw, state.status))
+            )
+            feas = env.feasible_actions(state)
+            if forced in feas:
+                return forced
+            return min(feas, key=lambda a: (sum(x != y for x, y in zip(a, forced)), a))
+
+        state = SystemState((-1, 5, 5, 5), 0)
+        fresh = PerceptronTreePolicy(env.horizon, env.n_units)
+        assert fresh._raw_bits(state, env) == (1, 1, 1, 1)  # breaks the lock
+        assert (0, 1, 1, 1) not in env.feasible_actions(state)  # forced fails the limits
+        assert fresh.classify(state, env) == forced_then_nearest(fresh, state) == (0, 0, 1, 1)
+
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            policy = PerceptronTreePolicy(env.horizon, env.n_units)
+            for d in range(env.n_units):
+                for prefix in itertools.product((0, 1), repeat=d):
+                    policy._trees[0][prefix] = rng.normal(size=4 * env.n_units)
+            for status in itertools.product((-2, -1, 1, 3), repeat=env.n_units):
+                state = SystemState(status, 0)
+                if env.feasible_actions(state):
+                    assert policy.classify(state, env) == forced_then_nearest(policy, state)
 
     def test_converges_on_a_separable_task(self, two_unit_instance):
         env = UnitCommitmentMDP(two_unit_instance)

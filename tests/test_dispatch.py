@@ -92,6 +92,16 @@ class TestEconomicDispatch:
         with pytest.raises(InfeasibleDispatchError):
             economic_dispatch((0,), 5.0, gens)
 
+    def test_demand_between_the_fsum_and_the_sum_of_capacities(self):
+        # 0.1 + 0.2 + 0.3 summed left to right exceeds its fsum, so the set
+        # limits admit a demand no price can meet; every unit runs at p_max
+        gens = [make_gen(id=i, p_min=0.0, p_max=p) for i, p in enumerate((0.1, 0.2, 0.3))]
+        demand = 0.1 + 0.2 + 0.3
+        assert fsum(g.p_max for g in gens) < demand
+        assert check_set_limits((1, 1, 1), demand, 0.0, gens)
+        result = economic_dispatch((1, 1, 1), demand, gens)
+        assert result.power == (0.1, 0.2, 0.3)
+
     def test_linear_units_fill_in_merit_order(self):
         gens = [
             make_gen(id=0, a=0.0, b=10.0, p_min=0.0, p_max=10.0),
@@ -219,9 +229,6 @@ class TestBatchedDispatch:
         def coverable(row):
             units = [g for g, bit in zip(gens, row) if bit]
             cap = sum(g.p_max for g in units)  # the scalar solver's own check
-            # economic_dispatch never returns for a demand above the fsum of
-            # the committed p_max that this sum still admits, so stay below it
-            cap = min(cap, fsum(g.p_max for g in units))
             return units and sum(g.p_min for g in units) <= demand <= cap
 
         rows = [row for row in rows if coverable(row)]

@@ -179,12 +179,20 @@ def all_free_env():
 
 
 class TestSampleActionNeighborhood:
+    @staticmethod
+    def sample(anchor, state, sample_count, decay, rng, env):
+        """The sampler on action tuples: bit-packed in, bit-packed out."""
+        aints = sample_action_neighborhood(
+            env._int_of(anchor), state.status, state.hour, sample_count, decay, rng, env
+        )
+        return [env._bits_of(a) for a in aints]
+
     def test_covers_full_feasible_set(self):
         env = all_free_env()
         state = env.initial_state()
         rng = np.random.default_rng(0)
         anchor = (1, 1, 1, 1)
-        sampled = sample_action_neighborhood(anchor, state, 16, 0.5, rng, env)
+        sampled = self.sample(anchor, state, 16, 0.5, rng, env)
         assert sampled == env.feasible_actions(state)
 
     def test_vanishing_decay_keeps_nearest_actions(self):
@@ -196,7 +204,7 @@ class TestSampleActionNeighborhood:
         want = sorted(sorted(dist.values())[:4])
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            sampled = sample_action_neighborhood(anchor, state, 4, 1e-9, rng, env)
+            sampled = self.sample(anchor, state, 4, 1e-9, rng, env)
             assert anchor in sampled
             assert sorted(dist[a] for a in sampled) == want
 
@@ -210,7 +218,7 @@ class TestSampleActionNeighborhood:
         counts = defaultdict(int)
         draws = 10_000
         for _ in range(draws):
-            for a in sample_action_neighborhood(anchor, state, 4, 0.5, rng, env):
+            for a in self.sample(anchor, state, 4, 0.5, rng, env):
                 counts[a] += 1
         by_distance = defaultdict(list)
         for a in feas:
@@ -222,7 +230,7 @@ class TestSampleActionNeighborhood:
         env = all_free_env()
         state = env.initial_state()
         rng = np.random.default_rng(1)
-        sampled = sample_action_neighborhood((0, 0, 0, 0), state, 1, 0.5, rng, env)
+        sampled = self.sample((0, 0, 0, 0), state, 1, 0.5, rng, env)
         # all-off is infeasible; its nearest feasible neighbors are one-hot
         assert sampled in ([(0, 0, 0, 1)], [(0, 0, 1, 0)], [(0, 1, 0, 0)], [(1, 0, 0, 0)])
         assert sampled == [(0, 0, 0, 1)]  # lexicographic among equals
@@ -232,7 +240,7 @@ class TestSampleActionNeighborhood:
         inst = make_instance(gens, demand=[50.0, 50.0])
         env = UnitCommitmentMDP(inst)
         rng = np.random.default_rng(0)
-        assert sample_action_neighborhood((1,), SystemState((-1,), 0), 2, 0.5, rng, env) == []
+        assert self.sample((1,), SystemState((-1,), 0), 2, 0.5, rng, env) == []
 
 
 class TestSubsampledTreeSearch:
