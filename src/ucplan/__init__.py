@@ -36,7 +36,13 @@ from .core import (
     startup_cost,
     validate_instance,
 )
-from .dispatch import DispatchResult, check_set_limits, dispatch_costs, economic_dispatch
+from .dispatch import (
+    DispatchResult,
+    check_set_limits,
+    dispatch_costs,
+    economic_dispatch,
+    kkt_violation,
+)
 from .errors import (
     EmptySliceError,
     HourMismatchError,

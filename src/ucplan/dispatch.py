@@ -9,7 +9,8 @@ step function and are filled in merit order of b, ties by generator id.
 
 ``economic_dispatch`` is the scalar reference.  ``dispatch_costs`` runs the
 same bisection for many committed sets at once on numpy vectors and returns
-costs equal to the scalar ones bit for bit.
+costs equal to the scalar ones bit for bit.  ``kkt_violation`` certifies a
+returned dispatch against the optimality conditions.
 """
 
 from dataclasses import dataclass
@@ -207,6 +208,29 @@ def economic_dispatch(action, demand: float, gens) -> DispatchResult:
     return DispatchResult(
         power=tuple(full), lam=lam, cost=_total_cost(powers, committed), degenerate=degenerate
     )
+
+
+def kkt_violation(result: DispatchResult, gens, action) -> float:
+    """Worst-case slackness of the equal-incremental-cost conditions, in $/MWh.
+
+    A committed unit strictly inside its box must have a marginal cost equal
+    to ``result.lam``; one at ``p_max`` at most ``lam``, one at ``p_min`` at
+    least ``lam``.  A unit counts as at a bound within 1e-9 of its ``p_max``
+    (at least 1e-9 MW).  Zero for an exact optimum.
+    """
+    worst = 0.0
+    for g, bit, p in zip(gens, action, result.power):
+        if not bit:
+            continue
+        marginal = 2.0 * g.a * p + g.b
+        tol = 1e-9 * max(1.0, g.p_max)
+        if p >= g.p_max - tol:
+            worst = max(worst, marginal - result.lam)
+        elif p <= g.p_min + tol:
+            worst = max(worst, result.lam - marginal)
+        else:
+            worst = max(worst, abs(marginal - result.lam))
+    return worst
 
 
 def _total_cost(powers, committed) -> float:

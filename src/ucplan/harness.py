@@ -11,7 +11,8 @@ A solve writes ``schedule.csv`` (hour, unit_id, committed, power_mw,
 gen_cost_usd, startup_cost_usd) and ``summary.json`` into the output
 directory.  Before anything is written, every objective is audited: the
 hourly rewards the solvers scored the plan with must sum to minus the
-objective that replay re-derives from fresh dispatches.
+objective that replay re-derives from fresh dispatches, and the cost
+columns of the schedule about to be written must sum to that objective.
 """
 
 import csv
@@ -349,9 +350,27 @@ def schedule_csv_text(solution: ScheduleSolution, instance: ProblemInstance) -> 
 
 
 def write_run(report: RunReport, out_dir, instance: ProblemInstance) -> None:
+    """Write ``schedule.csv`` and ``summary.json`` into ``out_dir``.
+
+    Refuses with RuntimeError, writing nothing, when the fsum of the CSV's
+    ``gen_cost_usd`` and ``startup_cost_usd`` columns, read back from the
+    text about to be written, differs from ``report.objective`` by more than
+    1e-9 relative.
+    """
+    text = schedule_csv_text(report.solution, instance)
+    csv_total = fsum(
+        float(row[column])
+        for row in csv.DictReader(io.StringIO(text))
+        for column in ("gen_cost_usd", "startup_cost_usd")
+    )
+    if abs(csv_total - report.objective) > 1e-9 * abs(report.objective):
+        raise RuntimeError(
+            f"audit failed: schedule.csv costs sum to {csv_total!r}, "
+            f"the objective is {report.objective!r}"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "schedule.csv").write_text(schedule_csv_text(report.solution, instance))
+    (out / "schedule.csv").write_text(text)
     summary = {
         "algorithm": report.algorithm,
         "config": report.config,

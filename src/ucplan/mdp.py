@@ -36,6 +36,9 @@ CommitmentAction = tuple[int, ...]
 # full 2^N action tables are only precomputed up to this fleet size
 _TABLE_LIMIT = 16
 
+# free-unit combinations the generic feasible-set path scores per numpy chunk
+_GENERIC_CHUNK = 1 << 16
+
 # fewest memo misses in one ``rewards`` call worth one batched dispatch: the
 # batch costs about 1 ms of numpy overhead; measured crossover 20 rows at
 # N = 12, 28 at N = 8
@@ -97,9 +100,14 @@ class UnitCommitmentMDP:
         self._startup_table = tuple(
             tuple(startup_cost(g, t) for t in range(1, STATUS_CAP + 1)) for g in gens
         )
-        self._dispatch_cost_memo: dict[tuple[int, int], float] = {}
-        # by hour: lock-on mask << N | lock-off mask -> no feasible action
+        # by hour: bit-packed action -> dispatch cost
+        self._dispatch_cost_memo: list[dict[int, float]] = [{} for _ in range(self.horizon)]
+        # by hour, keyed lock-on mask << N | lock-off mask: no feasible action,
+        # and the feasible actions themselves
         self._dead_end_memo: list[dict[int, bool]] = [{} for _ in range(self.horizon)]
+        self._feasible_memo: list[dict[int, tuple[int, ...]]] = [
+            {} for _ in range(self.horizon)
+        ]
 
         if n <= _TABLE_LIMIT:
             ints = np.arange(1 << n, dtype=np.int64)
@@ -142,25 +150,27 @@ class UnitCommitmentMDP:
             return False
         return self._dead_end(state.hour, *self._lock_masks(state.status))
 
-    def dead_ends(self, status, hour: int, aints) -> list[bool]:
-        """Whether each bit-packed action from ``status`` at ``hour`` leads to
-        a catastrophe state at ``hour + 1``.
+    def dead_ends(self, status, hour: int, aints):
+        """Iterator over whether each bit-packed action from ``status`` at
+        ``hour`` leads to a catastrophe state at ``hour + 1``.
 
-        The child's locks are read off the parent as bit masks, without
-        building the child's status.
+        The child's locks are read off the parent as bit masks, once per
+        call and without building the child's status; each action is tested
+        only when the iterator reaches it, so a caller may stop early.
         """
         if hour + 1 >= self.horizon:
-            return [False] * len(aints)
+            return itertools.repeat(False, len(aints))
         on_lock, off_lock = self._child_lock_masks(status)
         memo = self._dead_end_memo[hour + 1]
         n = self.n_units
-        out = []
-        for aint in aints:
-            dead = memo.get((aint & on_lock) << n | (~aint & off_lock))
-            if dead is None:
-                dead = self._dead_end(hour + 1, aint & on_lock, ~aint & off_lock)
-            out.append(dead)
-        return out
+
+        def dead(aint):
+            found = memo.get((aint & on_lock) << n | (~aint & off_lock))
+            if found is None:
+                return self._dead_end(hour + 1, aint & on_lock, ~aint & off_lock)
+            return found
+
+        return map(dead, aints)
 
     # -- rewards and replay ----------------------------------------------
 
@@ -184,15 +194,15 @@ class UnitCommitmentMDP:
             if st < 0
         ]
         off = sum(mask for mask, _ in starts)
-        memo = self._dispatch_cost_memo
-        costs = [memo.get((aint, hour)) for aint in aints]
+        memo = self._dispatch_cost_memo[hour]
+        costs = list(map(memo.get, aints))
         missing = [k for k, cost in enumerate(costs) if cost is None]
         if len(missing) >= _BATCH_MIN:
             batch = [aints[k] for k in missing]
             bits = (np.array(batch)[:, None] & np.array(self._mask)) != 0
             demand = self.instance.profile.demand[hour]
             for k, aint, cost in zip(missing, batch, dispatch_costs(bits, demand, self._gens)):
-                memo[aint, hour] = costs[k] = cost
+                memo[aint] = costs[k] = cost
         bills = {0: 0.0}  # start-up bill by the set of units switched on
         out = []
         for aint, cost in zip(aints, costs):
@@ -344,30 +354,48 @@ class UnitCommitmentMDP:
             memo[key] = dead
         return dead
 
-    def _feasible_ints(self, status, hour: int) -> list[int]:
+    def _feasible_ints(self, status, hour: int) -> tuple[int, ...]:
         """Feasible actions as bit-packed integers, ascending (= lex on
-        bit tuples, MSB is unit 0)."""
+        bit tuples, MSB is unit 0); memoised per hour by the lock masks."""
         lock_on, lock_off = self._lock_masks(status)
-        if self._acts_by_hour is not None:
-            arr = self._acts_by_hour[hour]
-            sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
-            return sel.tolist()
-        return self._feasible_ints_generic(hour, lock_on, lock_off)
+        memo = self._feasible_memo[hour]
+        key = lock_on << self.n_units | lock_off
+        feas = memo.get(key)
+        if feas is None:
+            if self._acts_by_hour is not None:
+                arr = self._acts_by_hour[hour]
+                sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
+                feas = tuple(sel.tolist())
+            else:
+                feas = tuple(self._feasible_ints_generic(hour, lock_on, lock_off))
+            memo[key] = feas
+        return feas
 
     def _feasible_ints_generic(self, hour, lock_on, lock_off) -> list[int]:
+        """Actions that keep the lock masks and pass ``check_set_limits``,
+        ascending.  Enumerates the unlocked units' bits only, in numpy chunks,
+        and sums the committed limits unit by unit, left to right, as
+        ``check_set_limits`` does."""
         demand = self.instance.profile.demand[hour]
         reserve = self.instance.profile.reserve[hour]
-        free = [i for i in range(self.n_units) if not (lock_on | lock_off) & self._mask[i]]
-        base = lock_on
+        n = self.n_units
+        free = [i for i in range(n) if not (lock_on | lock_off) & self._mask[i]]
+        total = 1 << len(free)
         out = []
-        for combo in itertools.product((0, 1), repeat=len(free)):
-            aint = base
-            for i, bit in zip(free, combo):
-                if bit:
-                    aint |= self._mask[i]
-            if check_set_limits(self._bits_of(aint), demand, reserve, self._gens):
-                out.append(aint)
-        out.sort()
+        for start in range(0, total, _GENERIC_CHUNK):
+            # combo's bits, highest first, go to the free units in unit order,
+            # so ascending combos give ascending actions (int64: N <= 63)
+            combo = np.arange(start, min(start + _GENERIC_CHUNK, total), dtype=np.int64)
+            aints = np.full(len(combo), lock_on, dtype=np.int64)
+            for k, i in enumerate(reversed(free)):
+                aints |= ((combo >> k) & 1) << (n - 1 - i)
+            lo = np.zeros(len(combo))
+            hi = np.zeros(len(combo))
+            for m, g in zip(self._mask, self._gens):
+                on = (aints & m) != 0
+                lo += np.where(on, g.p_min, 0.0)
+                hi += np.where(on, g.p_max, 0.0)
+            out.extend(aints[(lo <= demand) & (hi >= demand + reserve)].tolist())
         return out
 
     def _bits_of(self, aint: int) -> CommitmentAction:
@@ -384,11 +412,11 @@ class UnitCommitmentMDP:
         return aint
 
     def dispatch_cost_int(self, aint: int, hour: int) -> float:
-        key = (aint, hour)
-        cost = self._dispatch_cost_memo.get(key)
+        memo = self._dispatch_cost_memo[hour]
+        cost = memo.get(aint)
         if cost is None:
             cost = economic_dispatch(
                 self._bits_of(aint), self.instance.profile.demand[hour], self._gens
             ).cost
-            self._dispatch_cost_memo[key] = cost
+            memo[aint] = cost
         return cost

@@ -18,7 +18,9 @@ the popcount of an XOR.  Both score an edge with
 share one root choice, and commit hour by hour through
 ``UnitCommitmentMDP.rollout``.  A node whose children sit at the depth
 cutoff scores its candidates straight from the reward vector, minus
-``BIG`` for each child with no feasible action (``_cutoff_values``).
+``BIG`` for each child with no feasible action (``_cutoff_values``); inside
+the recursion only the maximum is needed, so ``_cutoff_max`` tests children
+for dead ends in descending reward order and stops at the first live one.
 """
 
 from concurrent import futures
@@ -66,6 +68,22 @@ def _cutoff_values(env: UnitCommitmentMDP, status, hour: int, aints) -> list[flo
     return [r + (-BIG if d else 0.0) for r, d in zip(env.rewards(status, hour, aints), dead)]
 
 
+def _cutoff_max(env: UnitCommitmentMDP, status, hour: int, aints) -> float:
+    """``max(_cutoff_values(env, status, hour, aints))``, testing children for
+    dead ends only down to the first live one in descending reward order.
+
+    Every candidate ranked below that live child scores no more than it, so
+    the maximum is its value or that of a dead candidate ranked above it.
+    """
+    ranked = sorted(zip(env.rewards(status, hour, aints), aints), reverse=True)
+    best = -float("inf")
+    for (r, _), dead in zip(ranked, env.dead_ends(status, hour, [a for _, a in ranked])):
+        if not dead:
+            return max(best, r + 0.0)
+        best = max(best, r + (-BIG))
+    return best
+
+
 def _at_cutoff(env: UnitCommitmentMDP, hour: int, depth: int) -> bool:
     """Whether the children of a node at ``hour`` with ``depth`` steps left
     are leaves."""
@@ -78,7 +96,7 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, ancho
 
     Every child is expanded around the bit-packed action that reached it.
     Callers stop above the depth cutoff and the terminal hour: a node whose
-    children are leaves scores them with ``_cutoff_values``.  Returns -BIG
+    children are leaves scores them with ``_cutoff_max``.  Returns -BIG
     from a catastrophe state, including one a step past the cutoff, so any
     feasible branch dominates.
     """
@@ -86,7 +104,7 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, ancho
     if not cands:
         return -BIG
     if _at_cutoff(env, hour, depth):
-        return max(_cutoff_values(env, status, hour, cands))
+        return _cutoff_max(env, status, hour, cands)
     best = -float("inf")
     for aint, r in zip(cands, env.rewards(status, hour, cands)):
         child = env._advance(status, env._bits_of(aint))

@@ -46,23 +46,6 @@ def cold_start(instance):
     return ProblemInstance(gens, instance.profile)
 
 
-def kkt_violation(result, gens, action):
-    """Worst-case slackness of the equal-incremental-cost conditions."""
-    worst = 0.0
-    for g, bit, p in zip(gens, action, result.power):
-        if not bit:
-            continue
-        marginal = 2.0 * g.a * p + g.b
-        tol = 1e-9 * max(1.0, g.p_max)
-        if p >= g.p_max - tol:
-            worst = max(worst, marginal - result.lam)
-        elif p <= g.p_min + tol:
-            worst = max(worst, result.lam - marginal)
-        else:
-            worst = max(worst, abs(marginal - result.lam))
-    return worst
-
-
 @pytest.fixture
 def two_unit_instance():
     """Two comfortable units; every commitment pattern with at least one

@@ -27,6 +27,7 @@ from ucplan import (
     gen_instance,
     greedy_policy,
     grid_dispatch,
+    kkt_violation,
     load_instance,
     run,
     subsampled_tree_search,
@@ -35,7 +36,7 @@ from ucplan import (
 from ucplan.core import STATUS_CAP
 from ucplan.harness import schedule_csv_text
 
-from conftest import INSTANCES, REPO_ROOT, kkt_violation, make_gen
+from conftest import INSTANCES, REPO_ROOT, make_gen
 
 
 def report(criterion: int, detail: str) -> None:

@@ -13,10 +13,11 @@ from ucplan import (
     economic_dispatch,
     generation_cost,
     grid_dispatch,
+    kkt_violation,
     load_instance,
 )
 
-from conftest import INSTANCES, kkt_violation, make_gen
+from conftest import INSTANCES, make_gen
 
 
 def random_fleet(rng, n, linear_share=0.0):

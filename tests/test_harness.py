@@ -110,7 +110,7 @@ class TestRun:
             def __init__(self, instance):
                 super().__init__(instance)
                 aint = self._int_of(first)
-                self._dispatch_cost_memo[(aint, 0)] = self.dispatch_cost_int(aint, 0) * (1 + 1e-6)
+                self._dispatch_cost_memo[0][aint] = self.dispatch_cost_int(aint, 0) * (1 + 1e-6)
 
         monkeypatch.setattr(harness, "UnitCommitmentMDP", InflatedMemo)
         with pytest.raises(RuntimeError, match="audit failed"):
@@ -148,6 +148,21 @@ class TestRun:
         header = text.splitlines()[0]
         assert header == "hour,unit_id,committed,power_mw,gen_cost_usd,startup_cost_usd"
         assert len(text.splitlines()) == 1 + inst.n_units * inst.horizon
+
+    def test_write_run_refuses_a_tampered_schedule_row(self, tmp_path, monkeypatch):
+        inst = gen_instance(3, 6, 1)
+        report = run(inst, "tree")
+        harness.write_run(report, tmp_path / "clean", inst)
+        assert (tmp_path / "clean" / "schedule.csv").exists()
+
+        lines = schedule_csv_text(report.solution, inst).splitlines(keepends=True)
+        fields = lines[1].split(",")
+        fields[4] = repr(float(fields[4]) + 0.01)  # gen_cost_usd of hour 0, unit 0
+        lines[1] = ",".join(fields)
+        monkeypatch.setattr(harness, "schedule_csv_text", lambda *_: "".join(lines))
+        with pytest.raises(RuntimeError, match="audit failed: schedule.csv"):
+            harness.write_run(report, tmp_path / "tampered", inst)
+        assert not (tmp_path / "tampered").exists()
 
 
 class TestCli:

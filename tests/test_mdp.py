@@ -11,10 +11,12 @@ from ucplan import (
     check_set_limits,
     economic_dispatch,
     gen_instance,
+    load_instance,
     startup_cost,
 )
+from ucplan.mdp import all_statuses
 
-from conftest import make_gen, make_instance
+from conftest import INSTANCES, make_gen, make_instance
 
 
 def env_for(gens, demand, reserve=None):
@@ -142,6 +144,44 @@ class TestFeasibleActions:
                 ):
                     expected.append(bits)
             assert env.feasible_actions(state) == expected
+
+    def test_memo_matches_a_fresh_table_filter(self):
+        inst = gen_instance(2, 6, seed=3)
+        env = UnitCommitmentMDP(inst)
+        gens = inst.generators
+        for status in all_statuses(2):
+            lock_on = sum(m for m, g, st in zip(env._mask, gens, status) if 0 < st < g.t_up)
+            lock_off = sum(m for m, g, st in zip(env._mask, gens, status) if -g.t_down < st < 0)
+            for hour in range(inst.horizon):
+                fresh = tuple(
+                    a for a in env._acts_by_hour[hour].tolist()
+                    if a & lock_on == lock_on and not a & lock_off
+                )
+                first = env._feasible_ints(status, hour)
+                again = env._feasible_ints(status, hour)
+                assert type(first) is tuple and type(again) is tuple
+                assert first == again == fresh
+
+    @pytest.mark.parametrize("name", ["n8_t24", "n12_t24"])
+    def test_generic_path_matches_the_table(self, name):
+        env = UnitCommitmentMDP(load_instance(INSTANCES / f"{name}.json"))
+        n = env.n_units
+        demand, reserve = env.instance.profile.demand, env.instance.profile.reserve
+        rng = np.random.default_rng(0)
+        for hour in range(env.horizon):
+            for lock in [[0] * n, *rng.integers(0, 3, size=(5, n)).tolist()]:
+                lock_on = sum(m for m, k in zip(env._mask, lock) if k == 1)
+                lock_off = sum(m for m, k in zip(env._mask, lock) if k == 2)
+                table = env._acts_by_hour[hour]
+                expected = table[((table & lock_on) == lock_on) & ((table & lock_off) == 0)]
+                generic = env._feasible_ints_generic(hour, lock_on, lock_off)
+                assert generic == expected.tolist()
+                if n <= 8:  # and against the set-limit check, one action at a time
+                    assert generic == [
+                        a for a in range(1 << n)
+                        if a & lock_on == lock_on and not a & lock_off
+                        and check_set_limits(env._bits_of(a), demand[hour], reserve[hour], env._gens)
+                    ]
 
 
 class TestReward:

@@ -13,13 +13,16 @@ from ucplan import (
     exhaustive_optimum,
     find_best_action,
     gen_instance,
+    load_instance,
     run,
     sample_action_neighborhood,
     subsampled_tree_search,
     tree_search_policy,
 )
 
-from conftest import cold_start, make_gen, make_instance
+from ucplan import BIG, treesearch
+
+from conftest import INSTANCES, cold_start, make_gen, make_instance
 
 
 class TestFindBestAction:
@@ -165,6 +168,65 @@ class TestTreeSearchPolicy:
         four = tree_search_policy(env.initial_state(), SearchConfig(2, threads=4), env)
         assert one.actions == four.actions
         assert one.step_values == four.step_values
+
+
+class TestCutoffMax:
+    """``_cutoff_max`` against the full vector it stands in for."""
+
+    def checked_cutoffs(self, monkeypatch, env, lookahead):
+        """Runs tree search, comparing ``_cutoff_max`` with
+        ``max(_cutoff_values(...))`` at every cutoff node; returns each
+        node's rewards and dead-end flags."""
+        cutoff_max = treesearch._cutoff_max
+        seen = []
+
+        def checked(env, status, hour, aints):
+            got = cutoff_max(env, status, hour, aints)
+            assert repr(got) == repr(max(treesearch._cutoff_values(env, status, hour, aints)))
+            seen.append((env.rewards(status, hour, aints), list(env.dead_ends(status, hour, aints))))
+            return got
+
+        monkeypatch.setattr(treesearch, "_cutoff_max", checked)
+        tree_search_policy(env.initial_state(), SearchConfig(lookahead), env)
+        return seen
+
+    def test_every_cutoff_node_of_the_bundled_n8_search(self, monkeypatch):
+        env = UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json"))
+        assert len(self.checked_cutoffs(monkeypatch, env, 3)) > 1000
+
+    def test_cutoff_nodes_with_dead_children(self, monkeypatch):
+        # gen_instance(3, 4, 1) has a dead end one hour out
+        seen = []
+        for lookahead in (2, 3):
+            env = UnitCommitmentMDP(gen_instance(3, 4, 1))
+            seen += self.checked_cutoffs(monkeypatch, env, lookahead)
+        assert any(any(dead) for _, dead in seen)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e10])
+    @pytest.mark.parametrize("initial_status", [1, -5], ids=["all-dead", "best-dead"])
+    def test_nodes_whose_best_children_are_dead(self, initial_status, scale):
+        # unit 0 is cheap, but once on it stays on for three hours, and
+        # hour 1's 30 MW lie below its minimum output.  Started an hour ago,
+        # it is locked on, so every child of hour 0 is dead; off, only the
+        # actions that start it are dead, and the walk passes them before
+        # unit 1 alone, the first live child.  Scaled by 1e10, rewards
+        # dwarf BIG, and a dead child can score above a live one.
+        gens = [
+            make_gen(id=0, b=10.0, p_min=60.0, p_max=100.0, t_up=3,
+                     initial_status=initial_status),
+            make_gen(id=1, b=50.0, p_min=5.0, p_max=100.0),
+        ]
+        env = UnitCommitmentMDP(make_instance(gens, demand=[80.0, 30.0, 30.0]))
+        rewards_of = env.rewards
+        env.rewards = lambda *args: [scale * r for r in rewards_of(*args)]
+        status = env.initial_state().status
+        aints = env._feasible_ints(status, 0)
+        rewards = env.rewards(status, 0, aints)
+        dead = list(env.dead_ends(status, 0, aints))
+        assert dead[rewards.index(max(rewards))]
+        assert all(dead) == (initial_status == 1)
+        values = treesearch._cutoff_values(env, status, 0, aints)
+        assert repr(treesearch._cutoff_max(env, status, 0, aints)) == repr(max(values))
 
 
 def all_free_env():
