@@ -121,9 +121,12 @@ class UnitCommitmentMDP:
             ok = (sum_min[:, None] <= demand) & (sum_max[:, None] >= demand + reserve)
             self._acts_by_hour = [ints[ok[:, t]] for t in range(self.horizon)]
             self._bits_table = tuple(map(tuple, bits.tolist()))
+            # one int object per action, shared by all memoised feasible sets
+            self._int_objects = ints.tolist()
         else:
             self._acts_by_hour = None
             self._bits_table = None
+            self._int_objects = None
 
     # -- state space ----------------------------------------------------
 
@@ -150,27 +153,27 @@ class UnitCommitmentMDP:
             return False
         return self._dead_end(state.hour, *self._lock_masks(state.status))
 
-    def dead_ends(self, status, hour: int, aints):
-        """Iterator over whether each bit-packed action from ``status`` at
-        ``hour`` leads to a catastrophe state at ``hour + 1``.
+    def child_dead_end(self, status, hour: int):
+        """Predicate on a bit-packed action from ``status`` at ``hour``:
+        whether its child at ``hour + 1`` is a catastrophe state.
 
         The child's locks are read off the parent as bit masks, once per
-        call and without building the child's status; each action is tested
-        only when the iterator reaches it, so a caller may stop early.
+        call and without building the child's status; the predicate looks
+        each child up in the per-hour dead-end memo.
         """
         if hour + 1 >= self.horizon:
-            return itertools.repeat(False, len(aints))
+            return lambda aint: False
         on_lock, off_lock = self._child_lock_masks(status)
         memo = self._dead_end_memo[hour + 1]
         n = self.n_units
 
-        def dead(aint):
+        def dead(aint: int) -> bool:
             found = memo.get((aint & on_lock) << n | (~aint & off_lock))
             if found is None:
                 return self._dead_end(hour + 1, aint & on_lock, ~aint & off_lock)
             return found
 
-        return map(dead, aints)
+        return dead
 
     # -- rewards and replay ----------------------------------------------
 
@@ -365,7 +368,7 @@ class UnitCommitmentMDP:
             if self._acts_by_hour is not None:
                 arr = self._acts_by_hour[hour]
                 sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
-                feas = tuple(sel.tolist())
+                feas = tuple(map(self._int_objects.__getitem__, sel.tolist()))
             else:
                 feas = tuple(self._feasible_ints_generic(hour, lock_on, lock_off))
             memo[key] = feas

@@ -64,8 +64,9 @@ class SearchConfig:
 def _cutoff_values(env: UnitCommitmentMDP, status, hour: int, aints) -> list[float]:
     """Each candidate's reward plus its child's value at the depth cutoff:
     0, or -BIG where the child is a catastrophe state."""
-    dead = env.dead_ends(status, hour, aints)
-    return [r + (-BIG if d else 0.0) for r, d in zip(env.rewards(status, hour, aints), dead)]
+    dead = env.child_dead_end(status, hour)
+    rewards = env.rewards(status, hour, aints)
+    return [r + (-BIG if dead(a) else 0.0) for r, a in zip(rewards, aints)]
 
 
 def _cutoff_max(env: UnitCommitmentMDP, status, hour: int, aints) -> float:
@@ -75,10 +76,10 @@ def _cutoff_max(env: UnitCommitmentMDP, status, hour: int, aints) -> float:
     Every candidate ranked below that live child scores no more than it, so
     the maximum is its value or that of a dead candidate ranked above it.
     """
-    ranked = sorted(zip(env.rewards(status, hour, aints), aints), reverse=True)
+    dead = env.child_dead_end(status, hour)
     best = -float("inf")
-    for (r, _), dead in zip(ranked, env.dead_ends(status, hour, [a for _, a in ranked])):
-        if not dead:
+    for r, aint in sorted(zip(env.rewards(status, hour, aints), aints), reverse=True):
+        if not dead(aint):
             return max(best, r + 0.0)
         best = max(best, r + (-BIG))
     return best

@@ -180,7 +180,9 @@ class TestFeasibleActions:
                     assert generic == [
                         a for a in range(1 << n)
                         if a & lock_on == lock_on and not a & lock_off
-                        and check_set_limits(env._bits_of(a), demand[hour], reserve[hour], env._gens)
+                        and check_set_limits(
+                            env._bits_of(a), demand[hour], reserve[hour], env._gens
+                        )
                     ]
 
 

@@ -183,7 +183,8 @@ class TestCutoffMax:
         def checked(env, status, hour, aints):
             got = cutoff_max(env, status, hour, aints)
             assert repr(got) == repr(max(treesearch._cutoff_values(env, status, hour, aints)))
-            seen.append((env.rewards(status, hour, aints), list(env.dead_ends(status, hour, aints))))
+            dead = list(map(env.child_dead_end(status, hour), aints))
+            seen.append((env.rewards(status, hour, aints), dead))
             return got
 
         monkeypatch.setattr(treesearch, "_cutoff_max", checked)
@@ -222,7 +223,7 @@ class TestCutoffMax:
         status = env.initial_state().status
         aints = env._feasible_ints(status, 0)
         rewards = env.rewards(status, 0, aints)
-        dead = list(env.dead_ends(status, 0, aints))
+        dead = list(map(env.child_dead_end(status, 0), aints))
         assert dead[rewards.index(max(rewards))]
         assert all(dead) == (initial_status == 1)
         values = treesearch._cutoff_values(env, status, 0, aints)
