@@ -121,7 +121,8 @@ class UnitCommitmentMDP:
             ok = (sum_min[:, None] <= demand) & (sum_max[:, None] >= demand + reserve)
             self._acts_by_hour = [ints[ok[:, t]] for t in range(self.horizon)]
             self._bits_table = tuple(map(tuple, bits.tolist()))
-            # one int object per action, shared by all memoised feasible sets
+            # one int object per action; memoised feasible sets share them
+            # rather than each holding its own copies (28 bytes an int)
             self._int_objects = ints.tolist()
         else:
             self._acts_by_hour = None
@@ -368,7 +369,10 @@ class UnitCommitmentMDP:
             if self._acts_by_hour is not None:
                 arr = self._acts_by_hour[hour]
                 sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
-                feas = tuple(map(self._int_objects.__getitem__, sel.tolist()))
+                objects = self._int_objects
+                # through a list: tuple(map(...)) resizes while it fills, which
+                # raised peak RSS a little more on every repeated solve
+                feas = tuple([objects[a] for a in sel.tolist()])
             else:
                 feas = tuple(self._feasible_ints_generic(hour, lock_on, lock_off))
             memo[key] = feas
