@@ -18,25 +18,22 @@ from .core import STATUS_CAP
 from .errors import EmptySliceError, HourMismatchError, NoFeasibleActionError
 from .mdp import BIG, ScheduleSolution, SystemState, UnitCommitmentMDP, all_statuses
 
+SIGN_MISMATCH_WEIGHT = 8.0
+COUNTER_SCALE = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class StateDistanceMetric:
     """Weighted distance between same-hour states.
 
-    Per unit: ``sign_mismatch_weight`` if the on/off signs differ, plus
-    ``counter_scale`` times the difference of counter magnitudes clipped
+    Per unit: ``SIGN_MISMATCH_WEIGHT`` if the on/off signs differ, plus
+    ``COUNTER_SCALE`` times the difference of counter magnitudes clipped
     at that unit's lock horizon max(t_up, t_down); beyond it, counters
     only matter through the (bounded) start-up price, and states behave
     nearly identically.
     """
 
-    sign_mismatch_weight: float = 8.0
-    counter_scale: float = 1.0
     counter_caps: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.sign_mismatch_weight <= 0:
-            raise ValueError("sign_mismatch_weight must be > 0")
 
     def for_instance(self, instance) -> "StateDistanceMetric":
         if self.counter_caps is not None:
@@ -52,8 +49,8 @@ def state_distance(s1: SystemState, s2: SystemState, metric: StateDistanceMetric
     total = 0.0
     for a, b, cap in zip(s1.status, s2.status, caps):
         if (a > 0) != (b > 0):
-            total += metric.sign_mismatch_weight
-        total += metric.counter_scale * abs(min(abs(a), cap) - min(abs(b), cap))
+            total += SIGN_MISMATCH_WEIGHT
+        total += COUNTER_SCALE * abs(min(abs(a), cap) - min(abs(b), cap))
     return total
 
 
@@ -63,11 +60,11 @@ def _sign_clip(statuses: np.ndarray, metric: StateDistanceMetric):
     return statuses > 0, np.minimum(np.abs(statuses), caps)
 
 
-def _distances(q_sign, q_clip, sign, clip, metric: StateDistanceMetric) -> np.ndarray:
+def _distances(q_sign, q_clip, sign, clip) -> np.ndarray:
     """``state_distance`` from every query row to every stored row."""
     return (
-        metric.sign_mismatch_weight * (q_sign[:, None, :] != sign[None, :, :])
-        + metric.counter_scale * np.abs(q_clip[:, None, :] - clip[None, :, :])
+        SIGN_MISMATCH_WEIGHT * (q_sign[:, None, :] != sign[None, :, :])
+        + COUNTER_SCALE * np.abs(q_clip[:, None, :] - clip[None, :, :])
     ).sum(axis=2)
 
 
@@ -117,7 +114,7 @@ class ValueSlice:
             chunk = max(1, 2_000_000 // max(1, len(self) * statuses.shape[1]))
             for lo in range(0, len(miss), chunk):
                 hi = lo + chunk
-                d = _distances(q_sign[lo:hi], q_clip[lo:hi], sign, clip, metric)
+                d = _distances(q_sign[lo:hi], q_clip[lo:hi], sign, clip)
                 for k, j in zip(miss[lo:hi], np.argmin(d, axis=1).tolist()):
                     found[k] = j
         return found

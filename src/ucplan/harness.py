@@ -9,10 +9,11 @@ Instance JSON schema::
 
 A solve writes ``schedule.csv`` (hour, unit_id, committed, power_mw,
 gen_cost_usd, startup_cost_usd) and ``summary.json`` into the output
-directory.  Before anything is written, every objective is audited: the
-hourly rewards the solvers scored the plan with must sum to minus the
-objective that replay re-derives from fresh dispatches, and the cost
-columns of the schedule about to be written must sum to that objective.
+directory.  Before anything is written, every plan is audited: each
+hour's dispatch must meet the optimality conditions, the hourly rewards
+the solvers scored the plan with must sum to minus the objective that
+replay re-derives from fresh dispatches, and the cost columns of the
+schedule about to be written must sum to that objective.
 """
 
 import csv
@@ -35,6 +36,7 @@ from .core import (
     startup_cost,
     validate_instance,
 )
+from .dispatch import kkt_violation
 from .errors import InstanceParseError, InstanceValidationError
 from .mdp import ScheduleSolution, UnitCommitmentMDP
 from .treesearch import (
@@ -232,13 +234,19 @@ def parse_warm_start(spec_text: str) -> int:
 
 
 def audit_objective(env: UnitCommitmentMDP, solution: ScheduleSolution) -> None:
-    """Check the solvers' scoring path against replay's accounting.
+    """Check the emitted dispatches and the solvers' scoring path.
 
-    Minus the summed ``env.rewards`` of the committed actions (memoised
-    dispatch costs plus the reward kernel) must equal the objective that
-    replay derived from fresh dispatches and fsum totals, within 1e-9
-    relative.  Raises RuntimeError otherwise.
+    Every hour's dispatch must have a ``kkt_violation`` of at most 1e-6
+    $/MWh.  Minus the summed ``env.rewards`` of the committed actions must
+    equal the objective that replay derived from fresh dispatches and fsum
+    totals, within 1e-9 relative.  Raises RuntimeError otherwise.
     """
+    for state, action, result in zip(solution.states, solution.actions, solution.dispatches):
+        violation = kkt_violation(result, env.instance.generators, action)
+        if violation > 1e-6:
+            raise RuntimeError(
+                f"audit failed: hour {state.hour} dispatch violates KKT by {violation} $/MWh"
+            )
     scored = -fsum(
         env.rewards(state.status, state.hour, [env._int_of(action)])[0]
         for state, action in zip(solution.states, solution.actions)

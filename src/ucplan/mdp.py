@@ -45,6 +45,18 @@ _GENERIC_CHUNK = 1 << 16
 _BATCH_MIN = 24
 
 
+def _set_limit_sums(aints: np.ndarray, masks, gens) -> tuple[np.ndarray, np.ndarray]:
+    """Committed ``p_min`` and ``p_max`` sums of bit-packed actions, added
+    unit by unit, left to right, exactly as ``check_set_limits`` adds them."""
+    lo = np.zeros(len(aints))
+    hi = np.zeros(len(aints))
+    for m, g in zip(masks, gens):
+        on = (aints & m) != 0
+        lo += np.where(on, g.p_min, 0.0)
+        hi += np.where(on, g.p_max, 0.0)
+    return lo, hi
+
+
 def all_statuses(n_units: int):
     """Every valid signed counter vector, in lexicographic order."""
     signed = [s for s in range(-STATUS_CAP, STATUS_CAP + 1) if s != 0]
@@ -112,10 +124,7 @@ class UnitCommitmentMDP:
         if n <= _TABLE_LIMIT:
             ints = np.arange(1 << n, dtype=np.int64)
             bits = (ints[:, None] >> np.arange(n - 1, -1, -1)) & 1
-            p_min = np.array([g.p_min for g in gens])
-            p_max = np.array([g.p_max for g in gens])
-            sum_min = bits @ p_min
-            sum_max = bits @ p_max
+            sum_min, sum_max = _set_limit_sums(ints, self._mask, gens)
             demand = np.array(instance.profile.demand)
             reserve = np.array(instance.profile.reserve)
             ok = (sum_min[:, None] <= demand) & (sum_max[:, None] >= demand + reserve)
@@ -178,9 +187,8 @@ class UnitCommitmentMDP:
 
     # -- rewards and replay ----------------------------------------------
 
-    def reward(self, state, action, next_state=None) -> float:
-        """``rewards`` of one action tuple.  ``next_state`` is implied by the
-        deterministic transition and accepted only for signature parity."""
+    def reward(self, state, action) -> float:
+        """``rewards`` of one action tuple."""
         return self.rewards(state.status, state.hour, [self._int_of(action)])[0]
 
     def rewards(self, status, hour: int, aints) -> list[float]:
@@ -265,9 +273,6 @@ class UnitCommitmentMDP:
             cost=cost,
         )
 
-    def with_step_values(self, solution: ScheduleSolution, values) -> ScheduleSolution:
-        return replace(solution, step_values=tuple(values))
-
     def rollout(self, s0: SystemState, choose) -> ScheduleSolution:
         """Receding-horizon loop shared by the planners.
 
@@ -289,7 +294,7 @@ class UnitCommitmentMDP:
             actions.append(action)
             values.append(value)
             state = self.transition(state, action)
-        return self.with_step_values(self.replay(actions, s0), values)
+        return replace(self.replay(actions, s0), step_values=tuple(values))
 
     # -- internals --------------------------------------------------------
 
@@ -380,9 +385,7 @@ class UnitCommitmentMDP:
 
     def _feasible_ints_generic(self, hour, lock_on, lock_off) -> list[int]:
         """Actions that keep the lock masks and pass ``check_set_limits``,
-        ascending.  Enumerates the unlocked units' bits only, in numpy chunks,
-        and sums the committed limits unit by unit, left to right, as
-        ``check_set_limits`` does."""
+        ascending.  Enumerates the unlocked units' bits only, in numpy chunks."""
         demand = self.instance.profile.demand[hour]
         reserve = self.instance.profile.reserve[hour]
         n = self.n_units
@@ -396,12 +399,7 @@ class UnitCommitmentMDP:
             aints = np.full(len(combo), lock_on, dtype=np.int64)
             for k, i in enumerate(reversed(free)):
                 aints |= ((combo >> k) & 1) << (n - 1 - i)
-            lo = np.zeros(len(combo))
-            hi = np.zeros(len(combo))
-            for m, g in zip(self._mask, self._gens):
-                on = (aints & m) != 0
-                lo += np.where(on, g.p_min, 0.0)
-                hi += np.where(on, g.p_max, 0.0)
+            lo, hi = _set_limit_sums(aints, self._mask, self._gens)
             out.extend(aints[(lo <= demand) & (hi >= demand + reserve)].tolist())
         return out
 

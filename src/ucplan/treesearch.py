@@ -17,10 +17,9 @@ the popcount of an XOR.  Both score an edge with
 ``UnitCommitmentMDP.rewards``, the one definition of the hourly reward,
 share one root choice, and commit hour by hour through
 ``UnitCommitmentMDP.rollout``.  A node whose children sit at the depth
-cutoff scores its candidates straight from the reward vector, minus
-``BIG`` for each child with no feasible action (``_cutoff_values``); inside
-the recursion only the maximum is needed, so ``_cutoff_max`` tests children
-for dead ends in descending reward order and stops at the first live one.
+cutoff, the root included, scores its candidates straight from the reward
+vector, minus ``BIG`` for each child with no feasible action, and keeps the
+first maximum (``_cutoff_best``).
 """
 
 from concurrent import futures
@@ -61,28 +60,21 @@ class SearchConfig:
             raise ValueError("threads must be >= 1")
 
 
-def _cutoff_values(env: UnitCommitmentMDP, status, hour: int, aints) -> list[float]:
-    """Each candidate's reward plus its child's value at the depth cutoff:
-    0, or -BIG where the child is a catastrophe state."""
-    dead = env.child_dead_end(status, hour)
-    rewards = env.rewards(status, hour, aints)
-    return [r + (-BIG if dead(a) else 0.0) for r, a in zip(rewards, aints)]
+def _cutoff_best(env: UnitCommitmentMDP, status, hour: int, aints) -> tuple[int, float]:
+    """Index and value of the first best candidate at the depth cutoff: its
+    reward, minus BIG where its child is a catastrophe state.
 
-
-def _cutoff_max(env: UnitCommitmentMDP, status, hour: int, aints) -> float:
-    """``max(_cutoff_values(env, status, hour, aints))``, testing children for
-    dead ends only down to the first live one in descending reward order.
-
-    Every candidate ranked below that live child scores no more than it, so
-    the maximum is its value or that of a dead candidate ranked above it.
+    The first highest reward wins outright when its child is live: any other
+    candidate scores at most its own reward and, on a tie, comes later.
     """
     dead = env.child_dead_end(status, hour)
-    best = -float("inf")
-    for r, aint in sorted(zip(env.rewards(status, hour, aints), aints), reverse=True):
-        if not dead(aint):
-            return max(best, r + 0.0)
-        best = max(best, r + (-BIG))
-    return best
+    rewards = env.rewards(status, hour, aints)
+    best = max(range(len(rewards)), key=rewards.__getitem__)
+    if not dead(aints[best]):
+        return best, rewards[best] + 0.0
+    values = [r + (-BIG if dead(a) else 0.0) for r, a in zip(rewards, aints)]
+    best = max(range(len(values)), key=values.__getitem__)
+    return best, values[best]
 
 
 def _at_cutoff(env: UnitCommitmentMDP, hour: int, depth: int) -> bool:
@@ -97,7 +89,7 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, ancho
 
     Every child is expanded around the bit-packed action that reached it.
     Callers stop above the depth cutoff and the terminal hour: a node whose
-    children are leaves scores them with ``_cutoff_max``.  Returns -BIG
+    children are leaves scores them with ``_cutoff_best``.  Returns -BIG
     from a catastrophe state, including one a step past the cutoff, so any
     feasible branch dominates.
     """
@@ -105,7 +97,7 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, ancho
     if not cands:
         return -BIG
     if _at_cutoff(env, hour, depth):
-        return _cutoff_max(env, status, hour, cands)
+        return _cutoff_best(env, status, hour, cands)[1]
     best = -float("inf")
     for aint, r in zip(cands, env.rewards(status, hour, cands)):
         child = env._advance(status, env._bits_of(aint))
@@ -125,15 +117,13 @@ def _best_root(
 ):
     """Index and value of the best root candidate: its reward plus the
     ``_search`` value of its child, which expands with ``expand_for(index)``,
-    or ``_cutoff_values`` when the children are leaves.
+    or ``_cutoff_best`` when the children are leaves.
 
     Candidates ascend, so taking the first maximum breaks ties toward the
     lexicographically smallest action.
     """
     if _at_cutoff(env, state.hour, depth):
-        values = _cutoff_values(env, state.status, state.hour, aints)
-        best = max(range(len(values)), key=values.__getitem__)
-        return best, values[best]
+        return _cutoff_best(env, state.status, state.hour, aints)
     rewards = env.rewards(state.status, state.hour, aints)
 
     def score(k: int) -> float:

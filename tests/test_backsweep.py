@@ -17,7 +17,7 @@ from ucplan import (
     sample_environment,
     state_distance,
 )
-from ucplan.backsweep import ValueSlice
+from ucplan.backsweep import SIGN_MISMATCH_WEIGHT, ValueSlice
 from ucplan.core import STATUS_CAP
 
 from conftest import cold_start, make_gen, make_instance
@@ -40,7 +40,7 @@ class TestStateDistance:
     def test_sign_flip_beyond_cap_costs_only_the_sign_weight(self):
         # +5 vs -5 with caps at 3: magnitudes clip equal, signs differ
         d = state_distance(SystemState((5,), 0), SystemState((-5,), 0), self.metric)
-        assert d == self.metric.sign_mismatch_weight
+        assert d == SIGN_MISMATCH_WEIGHT
 
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(0)

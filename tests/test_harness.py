@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from ucplan.harness import (
     schedule_csv_text,
 )
 
-from conftest import INSTANCES
+from conftest import INSTANCES, make_gen, make_instance
 
 
 class TestGenInstance:
@@ -115,6 +116,26 @@ class TestRun:
         monkeypatch.setattr(harness, "UnitCommitmentMDP", InflatedMemo)
         with pytest.raises(RuntimeError, match="audit failed"):
             run(inst, "tree")
+
+    def test_audit_passes_a_degenerate_dispatch(self):
+        # equal-priced linear twins: 150 MW is split by id order at the tie
+        gens = [make_gen(id=i, a=0.0, b=10.0, p_min=0.0, p_max=100.0, t_up=1, t_down=1,
+                         initial_status=5) for i in range(2)]
+        report = run(make_instance(gens, demand=[150.0, 150.0]), "tree")
+        assert all(d.degenerate for d in report.solution.dispatches)
+        assert report.objective == 3400.0
+
+    def test_audit_catches_a_dispatch_off_its_optimum(self):
+        inst = gen_instance(3, 6, 1)
+        env = UnitCommitmentMDP(inst)
+        solution = run(inst, "tree").solution
+        first = solution.dispatches[0]
+        assert solution.actions[0] == (0, 1, 1)  # units 1 and 2 both interior
+        power = (0.0, first.power[1] + 1.0, first.power[2] - 1.0)  # balance kept
+        moved = (replace(first, power=power), *solution.dispatches[1:])
+        harness.audit_objective(env, solution)
+        with pytest.raises(RuntimeError, match="audit failed: hour 0 dispatch"):
+            harness.audit_objective(env, replace(solution, dispatches=moved))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +243,44 @@ class TestCli:
         ]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "hour 2" in err[0]
+
+    @staticmethod
+    def solve_boundary_instance(tmp_path, p_min, demand, reserve):
+        """``uc solve --algo tree -H 1`` on one hour of free units whose
+        committed minimum outputs, summed left to right, land next to demand;
+        unit i has p_max = 10 p_min and b = 10 + i."""
+        gens = [
+            {"id": i, "a": 0.01, "b": 10.0 + i, "c": 1.0, "e": 1.0, "f": 1.0,
+             "g": 0.1, "h": 0.1, "p_min_mw": p, "p_max_mw": 10 * p,
+             "t_up_h": 1, "t_down_h": 1, "initial_status_h": 1}
+            for i, p in enumerate(p_min)
+        ]
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(
+            {"horizon": 1, "demand_mw": [demand], "reserve_mw": [reserve], "generators": gens}
+        ))
+        out = tmp_path / "out"
+        code = uc_main(["solve", "-i", str(path), "--algo", "tree", "-H", "1", "-o", str(out)])
+        return code, out
+
+    def test_all_on_solves_at_a_left_to_right_minimum_sum(self, tmp_path):
+        # a dot product of these minimum outputs rounds above demand
+        code, out = self.solve_boundary_instance(
+            tmp_path, [1.93, 1.66, 1.5, 2.62, 1.42, 2.73, 2.7], 14.559999999999999, 123.94
+        )
+        assert code == 0
+        rows = (out / "schedule.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["1"] * 7
+        assert round(json.loads((out / "summary.json").read_text())["objective_usd"], 2) == 200.97
+
+    def test_all_on_refused_above_a_left_to_right_minimum_sum(self, tmp_path, capsys):
+        # a dot product of these minimum outputs rounds down to demand
+        code, out = self.solve_boundary_instance(
+            tmp_path, [1.8, 2.3, 2.6, 2.5, 1.3, 0.22], 10.719999999999999, 95.38
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no feasible action at hour 0"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "algo, bad",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucplan import (
     InfeasibleActionError,
@@ -184,6 +186,45 @@ class TestFeasibleActions:
                             env._bits_of(a), demand[hour], reserve[hour], env._gens
                         )
                     ]
+
+
+def left_to_right(values, aint, n):
+    """Sum of ``values`` over the units ``aint`` commits, as ``check_set_limits``
+    adds them."""
+    total = 0.0
+    for i, v in enumerate(values):
+        if aint >> (n - 1 - i) & 1:
+            total += v
+    return total
+
+
+class TestSetLimitSums:
+    """The action table and the generic path sum committed limits as
+    ``check_set_limits`` does, also where the order of addition decides."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 300), min_size=2, max_size=7),
+        st.data(),
+    )
+    def test_feasible_actions_equal_the_brute_force_filter(self, cents, data):
+        # two-decimal minimum outputs, and demand at one action's sum of them
+        p_min = [c / 100 for c in cents]
+        n = len(p_min)
+        gens = [
+            make_gen(id=i, p_min=p, p_max=10 * p, t_up=1, t_down=1, initial_status=1)
+            for i, p in enumerate(p_min)
+        ]
+        demand = left_to_right(p_min, data.draw(st.integers(1, (1 << n) - 1)), n)
+        cover = left_to_right([10 * p for p in p_min], data.draw(st.integers(1, (1 << n) - 1)), n)
+        reserve = max(cover - demand, 0.0)
+        env = env_for(gens, [demand], [reserve])
+        expected = [
+            bits for bits in itertools.product((0, 1), repeat=n)
+            if check_set_limits(bits, demand, reserve, env._gens)
+        ]
+        assert env.feasible_actions(SystemState((1,) * n, 0)) == expected
+        assert env._feasible_ints_generic(0, 0, 0) == [env._int_of(b) for b in expected]
 
 
 class TestReward:

@@ -20,6 +20,7 @@ from ucplan import (
     tree_search_policy,
     treesearch,
 )
+from ucplan.mdp import BIG
 
 from conftest import INSTANCES, cold_start, make_gen, make_instance
 
@@ -169,34 +170,55 @@ class TestTreeSearchPolicy:
         assert one.step_values == four.step_values
 
 
+def cutoff_reference(env, status, hour, aints):
+    """First maximum of the full cutoff vector: each candidate's reward,
+    minus BIG where its child is a catastrophe state."""
+    dead = env.child_dead_end(status, hour)
+    values = [
+        r + (-BIG if dead(a) else 0.0) for r, a in zip(env.rewards(status, hour, aints), aints)
+    ]
+    best = max(range(len(values)), key=values.__getitem__)
+    return best, values[best]
+
+
 class TestCutoffMax:
-    """``_cutoff_max`` against the full vector it stands in for."""
+    """``_cutoff_best`` against the full vector it stands in for."""
+
+    cutoff_best = staticmethod(treesearch._cutoff_best)
+
+    def check(self, env, status, hour, aints):
+        got = self.cutoff_best(env, status, hour, aints)
+        want = cutoff_reference(env, status, hour, aints)
+        assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
+        return got
 
     def checked_cutoffs(self, monkeypatch, env, lookahead):
-        """Runs tree search, comparing ``_cutoff_max`` with
-        ``max(_cutoff_values(...))`` at every cutoff node; returns each
-        node's dead-end flags."""
-        cutoff_max = treesearch._cutoff_max
+        """Runs tree search, checking ``_cutoff_best`` at every cutoff node,
+        roots included; returns each node's dead-end flags."""
         seen = []
 
         def checked(env, status, hour, aints):
-            got = cutoff_max(env, status, hour, aints)
-            assert repr(got) == repr(max(treesearch._cutoff_values(env, status, hour, aints)))
             seen.append(list(map(env.child_dead_end(status, hour), aints)))
-            return got
+            return self.check(env, status, hour, aints)
 
-        monkeypatch.setattr(treesearch, "_cutoff_max", checked)
+        monkeypatch.setattr(treesearch, "_cutoff_best", checked)
         tree_search_policy(env.initial_state(), SearchConfig(lookahead), env)
         return seen
 
     def test_every_cutoff_node_of_the_bundled_n8_search(self, monkeypatch):
         env = UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json"))
         assert len(self.checked_cutoffs(monkeypatch, env, 3)) > 1000
+        env = UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json"))
+        assert len(self.checked_cutoffs(monkeypatch, env, 1)) == env.horizon
+
+    def test_every_root_of_the_bundled_n12_search(self, monkeypatch):
+        env = UnitCommitmentMDP(load_instance(INSTANCES / "n12_t24.json"))
+        assert len(self.checked_cutoffs(monkeypatch, env, 1)) == env.horizon
 
     def test_cutoff_nodes_with_dead_children(self, monkeypatch):
         # gen_instance(3, 4, 1) has a dead end one hour out
         seen = []
-        for lookahead in (2, 3):
+        for lookahead in (1, 2, 3):
             env = UnitCommitmentMDP(gen_instance(3, 4, 1))
             seen += self.checked_cutoffs(monkeypatch, env, lookahead)
         assert any(any(dead) for dead in seen)
@@ -207,9 +229,9 @@ class TestCutoffMax:
         # unit 0 is cheap, but once on it stays on for three hours, and
         # hour 1's 30 MW lie below its minimum output.  Started an hour ago,
         # it is locked on, so every child of hour 0 is dead; off, only the
-        # actions that start it are dead, and the walk passes them before
-        # unit 1 alone, the first live child.  Scaled by 1e10, rewards
-        # dwarf BIG, and a dead child can score above a live one.
+        # actions that start it are dead, among them the best reward.
+        # Scaled by 1e10, rewards dwarf BIG, and a dead child can score
+        # above a live one.
         gens = [
             make_gen(id=0, b=10.0, p_min=60.0, p_max=100.0, t_up=3,
                      initial_status=initial_status),
@@ -224,8 +246,55 @@ class TestCutoffMax:
         dead = list(map(env.child_dead_end(status, 0), aints))
         assert dead[rewards.index(max(rewards))]
         assert all(dead) == (initial_status == 1)
-        values = treesearch._cutoff_values(env, status, 0, aints)
-        assert repr(treesearch._cutoff_max(env, status, 0, aints)) == repr(max(values))
+        self.check(env, status, 0, aints)
+
+    @pytest.mark.parametrize("sticky, winner", [(0, (0, 1, 0)), (1, (1, 0, 0))],
+                             ids=["lower-live", "lower-dead"])
+    def test_reward_ties(self, sticky, winner):
+        # units 0 and 1 are twins, both off, and either alone is the
+        # cheapest way to meet hour 0's 80 MW; the sticky one, once on,
+        # stays on through hour 1, whose 30 MW lie below its minimum
+        # output.  Unit 1 alone, (0, 1, 0), is the lower action, so the
+        # first maximum keeps it unless its child is the dead one.
+        gens = [
+            make_gen(id=i, b=10.0, p_min=60.0, p_max=100.0, t_up=3 if i == sticky else 1,
+                     t_down=1, initial_status=-5)
+            for i in range(2)
+        ]
+        gens.append(make_gen(id=2, b=50.0, p_min=5.0, p_max=100.0, t_down=1, initial_status=5))
+        env = UnitCommitmentMDP(make_instance(gens, demand=[80.0, 30.0]))
+        status = env.initial_state().status
+        aints = env._feasible_ints(status, 0)
+        rewards = env.rewards(status, 0, aints)
+        dead = env.child_dead_end(status, 0)
+        tied = [aints.index(env._int_of(a)) for a in ((0, 1, 0), (1, 0, 0))]
+        assert rewards[tied[0]] == rewards[tied[1]] == max(rewards)
+        assert [dead(aints[k]) for k in tied] == [sticky == 1, sticky == 0]
+        best, value = self.check(env, status, 0, aints)
+        assert env._bits_of(aints[best]) == winner
+        assert value == max(rewards)
+
+    def test_reward_tie_behind_a_dead_best(self):
+        # as above with neither twin sticky, plus a sticky unit 2 that is a
+        # little cheaper: its start alone has the best reward and a dead
+        # child, and the full vector's first maximum is the lower twin
+        gens = [
+            make_gen(id=i, b=b, p_min=60.0, p_max=100.0, t_up=t_up, t_down=1, initial_status=-5)
+            for i, (b, t_up) in enumerate([(10.0, 1), (10.0, 1), (9.0, 3)])
+        ]
+        gens.append(make_gen(id=3, b=50.0, p_min=5.0, p_max=100.0, t_down=1, initial_status=5))
+        env = UnitCommitmentMDP(make_instance(gens, demand=[80.0, 30.0]))
+        status = env.initial_state().status
+        aints = env._feasible_ints(status, 0)
+        rewards = env.rewards(status, 0, aints)
+        dead = env.child_dead_end(status, 0)
+        first, *tied = [aints.index(env._int_of(a))
+                        for a in ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))]
+        assert rewards[first] == max(rewards) and dead(aints[first])
+        assert rewards[tied[0]] == rewards[tied[1]] == max(r for r in rewards if r < max(rewards))
+        assert not any(dead(aints[k]) for k in tied)
+        best, value = self.check(env, status, 0, aints)
+        assert (best, value) == (tied[0], rewards[tied[0]])
 
 
 def all_free_env():
