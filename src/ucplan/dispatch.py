@@ -216,7 +216,8 @@ def kkt_violation(result: DispatchResult, gens, action) -> float:
     A committed unit strictly inside its box must have a marginal cost equal
     to ``result.lam``; one at ``p_max`` at most ``lam``, one at ``p_min`` at
     least ``lam``.  A unit counts as at a bound within 1e-9 of its ``p_max``
-    (at least 1e-9 MW).  Zero for an exact optimum.
+    (at least 1e-9 MW); one at both bounds has a fixed output that any price
+    supports, so it is skipped.  Zero for an exact optimum.
     """
     worst = 0.0
     for g, bit, p in zip(gens, action, result.power):
@@ -224,9 +225,13 @@ def kkt_violation(result: DispatchResult, gens, action) -> float:
             continue
         marginal = 2.0 * g.a * p + g.b
         tol = 1e-9 * max(1.0, g.p_max)
-        if p >= g.p_max - tol:
+        at_max = p >= g.p_max - tol
+        at_min = p <= g.p_min + tol
+        if at_max and at_min:
+            continue
+        if at_max:
             worst = max(worst, marginal - result.lam)
-        elif p <= g.p_min + tol:
+        elif at_min:
             worst = max(worst, result.lam - marginal)
         else:
             worst = max(worst, abs(marginal - result.lam))

@@ -237,13 +237,16 @@ def audit_objective(env: UnitCommitmentMDP, solution: ScheduleSolution) -> None:
     """Check the emitted dispatches and the solvers' scoring path.
 
     Every hour's dispatch must have a ``kkt_violation`` of at most 1e-6
-    $/MWh.  Minus the summed ``env.rewards`` of the committed actions must
-    equal the objective that replay derived from fresh dispatches and fsum
+    $/MWh or 2e-9 of its price, whichever is larger: a price-step dispatch
+    counts a linear unit within 1e-9 of the price as marginal, and the
+    rounding of the price at the step can take it a little past that.
+    Minus the summed ``env.rewards`` of the committed actions must equal
+    the objective that replay derived from fresh dispatches and fsum
     totals, within 1e-9 relative.  Raises RuntimeError otherwise.
     """
     for state, action, result in zip(solution.states, solution.actions, solution.dispatches):
         violation = kkt_violation(result, env.instance.generators, action)
-        if violation > 1e-6:
+        if violation > max(1e-6, 2e-9 * abs(result.lam)):
             raise RuntimeError(
                 f"audit failed: hour {state.hour} dispatch violates KKT by {violation} $/MWh"
             )

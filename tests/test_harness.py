@@ -10,6 +10,7 @@ from ucplan import (
     UnitCommitmentMDP,
     exhaustive_optimum,
     gen_instance,
+    kkt_violation,
     load_instance,
     run,
     save_instance,
@@ -124,6 +125,32 @@ class TestRun:
         report = run(make_instance(gens, demand=[150.0, 150.0]), "tree")
         assert all(d.degenerate for d in report.solution.dispatches)
         assert report.objective == 3400.0
+
+    def test_audit_passes_a_price_step_dispatch_at_a_high_price(self):
+        # the linear unit is marginal within 1e-9 of a 4e5 $/MWh price
+        gens = [
+            make_gen(id=0, a=0.0, b=4e5, p_min=0.0, p_max=50.0, t_up=1, t_down=1,
+                     initial_status=5),
+            make_gen(id=1, a=1e-4, b=4e5 - 1e-4, p_min=0.0, p_max=20.0, t_up=1, t_down=1,
+                     initial_status=5),
+        ]
+        report = run(make_instance(gens, demand=[52.5]), "tree")
+        (result,) = report.solution.dispatches
+        assert report.solution.actions == ((1, 1),)
+        assert 1e-9 * result.lam < kkt_violation(result, gens, (1, 1)) < 2e-9 * result.lam
+
+    def test_audit_passes_a_dear_fixed_output_unit(self):
+        # unit 1 is held on at p_min == p_max; its marginal cost is above the price
+        gens = [
+            make_gen(id=0, a=0.01, b=10.0, p_min=0.0, p_max=200.0, t_up=1, t_down=1,
+                     initial_status=5),
+            make_gen(id=1, a=0.01, b=50.0, p_min=50.0, p_max=50.0, t_up=3, t_down=1,
+                     initial_status=1),
+        ]
+        report = run(make_instance(gens, demand=[100.0]), "tree")
+        (result,) = report.solution.dispatches
+        assert report.solution.actions == ((1, 1),)
+        assert result.power == (50.0, 50.0) and result.lam == 11.0
 
     def test_audit_catches_a_dispatch_off_its_optimum(self):
         inst = gen_instance(3, 6, 1)
