@@ -225,13 +225,10 @@ def kkt_violation(result: DispatchResult, gens, action) -> float:
             continue
         marginal = 2.0 * g.a * p + g.b
         tol = 1e-9 * max(1.0, g.p_max)
-        at_max = p >= g.p_max - tol
-        at_min = p <= g.p_min + tol
-        if at_max and at_min:
-            continue
-        if at_max:
-            worst = max(worst, marginal - result.lam)
-        elif at_min:
+        if p >= g.p_max - tol:
+            if p > g.p_min + tol:
+                worst = max(worst, marginal - result.lam)
+        elif p <= g.p_min + tol:
             worst = max(worst, result.lam - marginal)
         else:
             worst = max(worst, abs(marginal - result.lam))

@@ -9,11 +9,10 @@ Instance JSON schema::
 
 A solve writes ``schedule.csv`` (hour, unit_id, committed, power_mw,
 gen_cost_usd, startup_cost_usd) and ``summary.json`` into the output
-directory.  Before anything is written, every plan is audited: each
-hour's dispatch must meet the optimality conditions, the hourly rewards
-the solvers scored the plan with must sum to minus the objective that
-replay re-derives from fresh dispatches, and the cost columns of the
-schedule about to be written must sum to that objective.
+directory.  Before anything is written, every plan is audited: its
+dispatches must meet the optimality conditions, its hourly rewards must
+sum to minus the objective replay re-derives from fresh dispatches, and
+the cost columns of the schedule must sum to that objective.
 """
 
 import csv
@@ -236,13 +235,11 @@ def parse_warm_start(spec_text: str) -> int:
 def audit_objective(env: UnitCommitmentMDP, solution: ScheduleSolution) -> None:
     """Check the emitted dispatches and the solvers' scoring path.
 
-    Every hour's dispatch must have a ``kkt_violation`` of at most 1e-6
-    $/MWh or 2e-9 of its price, whichever is larger: a price-step dispatch
-    counts a linear unit within 1e-9 of the price as marginal, and the
-    rounding of the price at the step can take it a little past that.
-    Minus the summed ``env.rewards`` of the committed actions must equal
-    the objective that replay derived from fresh dispatches and fsum
-    totals, within 1e-9 relative.  Raises RuntimeError otherwise.
+    Each dispatch's ``kkt_violation`` must be at most max(1e-6, 2e-9 |lam|)
+    $/MWh: a price-step fallback takes a linear unit within 1e-9 |lam| of
+    the price as marginal.  Minus the summed ``env.rewards`` of the plan
+    must equal replay's objective, within 1e-9 relative.  Raises
+    RuntimeError otherwise.
     """
     for state, action, result in zip(solution.states, solution.actions, solution.dispatches):
         violation = kkt_violation(result, env.instance.generators, action)
