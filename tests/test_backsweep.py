@@ -19,6 +19,7 @@ from ucplan import (
 )
 from ucplan.backsweep import SIGN_MISMATCH_WEIGHT, ValueSlice
 from ucplan.core import STATUS_CAP
+from ucplan.mdp import all_statuses
 
 from conftest import cold_start, make_gen, make_instance
 
@@ -141,6 +142,17 @@ class TestSampleEnvironment:
         assert {s.status[0] for s in out} == {
             v for v in range(-24, 25) if v != 0
         }
+
+    @pytest.mark.parametrize("n_units, n_samples", [(1, 48), (1, 60), (2, 48**2)])
+    def test_full_space_is_the_anchor_then_all_statuses_in_order(self, n_units, n_samples):
+        env = UnitCommitmentMDP(gen_instance(n_units, 4, 0))
+        anchor = SystemState((-3,) + (2,) * (n_units - 1), 1)
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        out = sample_environment(anchor, n_samples, rng, env)
+        rest = [SystemState(s, 1) for s in all_statuses(n_units) if s != anchor.status]
+        assert out == [anchor] + rest
+        assert rng.bit_generator.state == before
 
     def test_mean_distance_grows_with_fleet_size(self):
         spreads = []
