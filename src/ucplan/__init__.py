@@ -16,8 +16,6 @@ from .api_baseline import (
     sarsa_evaluate,
 )
 from .backsweep import (
-    StateDistanceMetric,
-    ValueSampleSet,
     ValueSlice,
     evaluate_states,
     greedy_policy,

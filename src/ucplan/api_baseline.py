@@ -146,7 +146,12 @@ def _behavior_action(policy, state, epsilon, rng, env) -> CommitmentAction:
 
 def _sarsa(policy, alpha, epsilon, episodes, rng, env):
     """On-policy TD evaluation; returns per-hour weights and the states
-    visited at each hour (deduplicated, in visit order)."""
+    visited at each hour (deduplicated, in visit order).  Raises ValueError
+    unless ``alpha`` and ``epsilon`` lie in [0, 1]."""
+    if not 0 <= alpha <= 1:
+        raise ValueError("alpha must lie in [0, 1]")
+    if not 0 <= epsilon <= 1:
+        raise ValueError("epsilon must lie in [0, 1]")
     dim = feature_dim(env.n_units)
     w = np.zeros((env.horizon, dim))
     visited: list[dict[SystemState, None]] = [{} for _ in range(env.horizon)]
@@ -191,10 +196,6 @@ def sarsa_evaluate(
     epsilon-greedy rollouts of ``policy`` (undiscounted, terminal value 0).
     Episodes that hit a dead end are written down with the -BIG penalty
     and cut short rather than raised."""
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not 0 <= epsilon <= 1:
-        raise ValueError("epsilon must lie in [0, 1]")
     w, _ = _sarsa(policy, alpha, epsilon, episodes, rng, env)
     return w
 

@@ -10,8 +10,6 @@ score actions with ``UnitCommitmentMDP.rewards``, the one definition of
 the hourly reward.
 """
 
-from dataclasses import dataclass, replace as dc_replace
-
 import numpy as np
 
 from .core import STATUS_CAP
@@ -22,30 +20,17 @@ SIGN_MISMATCH_WEIGHT = 8.0
 COUNTER_SCALE = 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class StateDistanceMetric:
+def state_distance(s1: SystemState, s2: SystemState, caps: tuple[int, ...]) -> float:
     """Weighted distance between same-hour states.
 
     Per unit: ``SIGN_MISMATCH_WEIGHT`` if the on/off signs differ, plus
-    ``COUNTER_SCALE`` times the difference of counter magnitudes clipped
-    at that unit's lock horizon max(t_up, t_down); beyond it, counters
-    only matter through the (bounded) start-up price, and states behave
-    nearly identically.
+    ``COUNTER_SCALE`` times the difference of counter magnitudes clipped at
+    that unit's cap.  The solvers cap each unit at its lock horizon
+    max(t_up, t_down): beyond it, counters only matter through the
+    (bounded) start-up price, and states behave nearly identically.
     """
-
-    counter_caps: tuple[int, ...] | None = None
-
-    def for_instance(self, instance) -> "StateDistanceMetric":
-        if self.counter_caps is not None:
-            return self
-        caps = tuple(max(g.t_up, g.t_down) for g in instance.generators)
-        return dc_replace(self, counter_caps=caps)
-
-
-def state_distance(s1: SystemState, s2: SystemState, metric: StateDistanceMetric) -> float:
     if s1.hour != s2.hour:
         raise HourMismatchError(f"hours differ: {s1.hour} != {s2.hour}")
-    caps = metric.counter_caps or (STATUS_CAP,) * len(s1.status)
     total = 0.0
     for a, b, cap in zip(s1.status, s2.status, caps):
         if (a > 0) != (b > 0):
@@ -54,9 +39,8 @@ def state_distance(s1: SystemState, s2: SystemState, metric: StateDistanceMetric
     return total
 
 
-def _sign_clip(statuses: np.ndarray, metric: StateDistanceMetric):
+def _sign_clip(statuses: np.ndarray, caps: np.ndarray):
     """Per-unit on/off signs and cap-clipped counter magnitudes of status rows."""
-    caps = np.array(metric.counter_caps or (STATUS_CAP,) * statuses.shape[1])
     return statuses > 0, np.minimum(np.abs(statuses), caps)
 
 
@@ -69,14 +53,16 @@ def _distances(q_sign, q_clip, sign, clip) -> np.ndarray:
 
 
 class ValueSlice:
-    """States valued at one hour, queryable by nearest neighbor."""
+    """States valued at one hour, queryable by nearest neighbor under
+    ``state_distance`` with per-unit counter ``caps``."""
 
-    def __init__(self, hour: int):
+    def __init__(self, hour: int, caps: tuple[int, ...]):
         self.hour = hour
+        self.caps = np.array(caps)
         self.states: list[SystemState] = []
         self.values: list[float] = []
         self._index: dict[tuple[int, ...], int] = {}
-        self._cache_key = None
+        self._cached = -1
 
     def add(self, state: SystemState, value: float) -> None:
         if state.hour != self.hour:
@@ -88,20 +74,19 @@ class ValueSlice:
     def exact_index(self, status: tuple[int, ...]):
         return self._index.get(status)
 
-    def arrays(self, metric: StateDistanceMetric):
+    def arrays(self):
         """(sign matrix, clipped-magnitude matrix, value vector), cached."""
-        key = (len(self.states), metric)
-        if self._cache_key != key:
+        if self._cached != len(self.states):
             status = np.array([s.status for s in self.states])
-            self._sign, self._clip = _sign_clip(status, metric)
+            self._sign, self._clip = _sign_clip(status, self.caps)
             self._vals = np.array(self.values)
-            self._cache_key = key
+            self._cached = len(self.states)
         return self._sign, self._clip, self._vals
 
-    def nearest(self, statuses: np.ndarray, metric: StateDistanceMetric) -> list[int]:
+    def nearest(self, statuses: np.ndarray) -> list[int]:
         """Index of the nearest stored state for every status row.
 
-        An exact status match wins outright (the clipped metric is a
+        An exact status match wins outright (the clipped distance is a
         pseudometric, so distinct states can sit at distance zero); the
         other rows take the first minimum, so ties resolve by insertion
         order.
@@ -109,8 +94,8 @@ class ValueSlice:
         found = [self.exact_index(tuple(row)) for row in statuses.tolist()]
         miss = [k for k, j in enumerate(found) if j is None]
         if miss:
-            sign, clip, _ = self.arrays(metric)
-            q_sign, q_clip = _sign_clip(statuses[miss], metric)
+            sign, clip, _ = self.arrays()
+            q_sign, q_clip = _sign_clip(statuses[miss], self.caps)
             chunk = max(1, 2_000_000 // max(1, len(self) * statuses.shape[1]))
             for lo in range(0, len(miss), chunk):
                 hi = lo + chunk
@@ -123,56 +108,34 @@ class ValueSlice:
         return len(self.states)
 
 
-class ValueSampleSet:
-    """One ValueSlice per hour 0..T; the terminal slice holds value 0."""
-
-    def __init__(self, horizon: int):
-        self.horizon = horizon
-        self.slices = [ValueSlice(t) for t in range(horizon + 1)]
-
-    def slice_at(self, hour: int) -> ValueSlice:
-        return self.slices[hour]
-
-
-def nearest_neighbor(
-    state: SystemState, slice_: ValueSlice, metric: StateDistanceMetric
-) -> tuple[SystemState, float]:
+def nearest_neighbor(state: SystemState, slice_: ValueSlice) -> tuple[SystemState, float]:
     """Closest stored (state, value) pair, as ``ValueSlice.nearest`` picks it."""
     if len(slice_) == 0:
         raise EmptySliceError(f"no states stored at hour {state.hour}")
     if state.hour != slice_.hour:
         raise HourMismatchError(f"state hour {state.hour} != slice hour {slice_.hour}")
-    best = slice_.nearest(np.array([state.status]), metric)[0]
+    best = slice_.nearest(np.array([state.status]))[0]
     return slice_.states[best], slice_.values[best]
 
 
 def sample_environment(
     anchor: SystemState, n_samples: int, rng: np.random.Generator, env: UnitCommitmentMDP
 ) -> list[SystemState]:
-    """Distinct valid states at the anchor's hour, the anchor included.
+    """Distinct valid states at the anchor's hour, the anchor first.
 
     Each draw perturbs a geometric(0.5) number of units (capped at N),
     redrawing their counters uniformly over the valid signed range.  When
-    ``n_samples`` covers the whole state space the full enumeration is
-    returned instead; a deterministic fill kicks in if random draws stop
-    producing new states.
+    ``n_samples`` covers the whole state space no draw is made; then, or
+    if random draws stop producing new states, a deterministic fill adds
+    statuses in ``all_statuses`` order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n = env.n_units
-    space = (2 * STATUS_CAP) ** n
-    if n_samples >= space:
-        out = [anchor]
-        seen = {anchor.status}
-        for status in all_statuses(n):
-            if status not in seen:
-                out.append(SystemState(status, anchor.hour))
-        return out
-
     out = [anchor]
     seen = {anchor.status}
     attempts = 0
-    limit = 200 * n_samples
+    limit = 200 * n_samples if n_samples < (2 * STATUS_CAP) ** n else 0
     while len(out) < n_samples and attempts < limit:
         attempts += 1
         m = min(int(rng.geometric(0.5)), n)
@@ -186,7 +149,7 @@ def sample_environment(
             seen.add(key)
             out.append(SystemState(key, anchor.hour))
     if len(out) < n_samples:
-        for status in all_statuses(n):  # deterministic fill, rare
+        for status in all_statuses(n):  # deterministic fill
             if len(out) >= n_samples:
                 break
             if status not in seen:
@@ -195,7 +158,7 @@ def sample_environment(
     return out
 
 
-def _score_actions(env: UnitCommitmentMDP, state: SystemState, nxt: ValueSlice, metric):
+def _score_actions(env: UnitCommitmentMDP, state: SystemState, nxt: ValueSlice):
     """Backup score (reward + neighbor value of the successor) for every
     feasible action, vectorized over the next slice.
 
@@ -214,61 +177,54 @@ def _score_actions(env: UnitCommitmentMDP, state: SystemState, nxt: ValueSlice, 
         np.where(st < 0, np.maximum(st - 1, -STATUS_CAP), -1),
     )
     rewards = np.array(env.rewards(state.status, state.hour, acts))
-    _, _, vals = nxt.arrays(metric)
-    return acts, rewards + vals[nxt.nearest(child, metric)]
+    _, _, vals = nxt.arrays()
+    return acts, rewards + vals[nxt.nearest(child)]
 
 
 def evaluate_states(
     n_samples: int,
     terminal_anchor: SystemState,
     env: UnitCommitmentMDP,
-    metric: StateDistanceMetric,
     rng: np.random.Generator,
-) -> ValueSampleSet:
-    """Backward sweep producing a valued sample set for every hour.
+) -> list[ValueSlice]:
+    """Backward sweep producing one valued slice for every hour 0..T.
 
     The terminal slice around ``terminal_anchor`` carries value 0; each
     earlier slice is sampled around the previous sweep's best state
     (re-timed to the current hour) and valued by Bellman backups, with
-    catastrophe states pinned at -BIG.
+    catastrophe states pinned at -BIG.  Every slice clips each unit's
+    counter at its lock horizon max(t_up, t_down).
     """
     if terminal_anchor.hour != env.horizon:
         raise ValueError("terminal anchor must sit at the final hour")
-    metric = metric.for_instance(env.instance)
-    value_set = ValueSampleSet(env.horizon)
+    caps = tuple(max(g.t_up, g.t_down) for g in env.instance.generators)
+    slices = [ValueSlice(t, caps) for t in range(env.horizon + 1)]
 
-    terminal = value_set.slice_at(env.horizon)
     for s in sample_environment(terminal_anchor, n_samples, rng, env):
-        terminal.add(s, 0.0)
+        slices[env.horizon].add(s, 0.0)
 
     anchor_status = terminal_anchor.status
     for t in range(env.horizon - 1, -1, -1):
         anchor = SystemState(anchor_status, t)
-        slice_t = value_set.slice_at(t)
-        nxt = value_set.slice_at(t + 1)
         best_v = -float("inf")
         for s in sample_environment(anchor, n_samples, rng, env):
-            _, scores = _score_actions(env, s, nxt, metric)
+            _, scores = _score_actions(env, s, slices[t + 1])
             v = float(scores.max()) if scores is not None else -BIG
-            slice_t.add(s, v)
+            slices[t].add(s, v)
             if v > best_v:
                 best_v = v
                 anchor_status = s.status
-    return value_set
+    return slices
 
 
 def greedy_policy(
-    value_set: ValueSampleSet,
-    s0: SystemState,
-    env: UnitCommitmentMDP,
-    metric: StateDistanceMetric,
+    slices: list[ValueSlice], s0: SystemState, env: UnitCommitmentMDP
 ) -> ScheduleSolution:
     """Forward sweep: at every hour take the action maximizing reward plus
     the neighbor-approximated next-slice value (lexicographic ties)."""
-    metric = metric.for_instance(env.instance)
 
     def choose(state, _):
-        acts, scores = _score_actions(env, state, value_set.slice_at(state.hour + 1), metric)
+        acts, scores = _score_actions(env, state, slices[state.hour + 1])
         if not acts:
             raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
         k = int(np.argmax(scores))  # first maximum = lexicographic tie-break

@@ -6,6 +6,7 @@ unit has been on, negative = hours off) saturating at +/-24.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import OutOfBoundsError
@@ -129,12 +130,28 @@ class ValidationReport:
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
-    """Check every domain invariant and report all violations found."""
+    """Check every domain invariant and report all violations found.
+
+    Every real field must be finite, and every count (ids, hours, counters)
+    a whole number.
+    """
     bad: list[Violation] = []
     profile = instance.profile
 
+    def whole(where: str, value) -> None:
+        if not isinstance(value, numbers.Integral):
+            bad.append(Violation(where, "whole number", value))
+
+    def finite(where: str, value) -> None:
+        if not math.isfinite(value):
+            bad.append(Violation(where, "finite", value))
+
     for i, g in enumerate(instance.generators):
         where = f"generators[{i}]"
+        for name in ("id", "t_up", "t_down", "initial_status"):
+            whole(f"{where}.{name}", getattr(g, name))
+        for name in ("a", "b", "c", "e", "f", "g", "h", "p_min", "p_max"):
+            finite(f"{where}.{name}", getattr(g, name))
         if not 0 <= g.p_min <= g.p_max:
             bad.append(Violation(f"{where}.p_min", "0 <= p_min <= p_max", (g.p_min, g.p_max)))
         if not g.p_max > 0:
@@ -160,6 +177,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     if sorted(ids) != list(range(len(ids))):
         bad.append(Violation("generators[].id", "ids are 0..N-1 with no gaps", ids))
 
+    whole("profile.horizon", profile.horizon)
     if profile.horizon < 1:
         bad.append(Violation("profile.horizon", "horizon >= 1", profile.horizon))
     if len(profile.demand) != profile.horizon:
@@ -167,9 +185,11 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     if len(profile.reserve) != profile.horizon:
         bad.append(Violation("profile.reserve", "length equals horizon", len(profile.reserve)))
     for t, d in enumerate(profile.demand):
+        finite(f"profile.demand[{t}]", d)
         if not d > 0:
             bad.append(Violation(f"profile.demand[{t}]", "demand > 0", d))
     for t, r in enumerate(profile.reserve):
+        finite(f"profile.reserve[{t}]", r)
         if r < 0:
             bad.append(Violation(f"profile.reserve[{t}]", "reserve >= 0", r))
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .api_baseline import approximate_policy_iteration
-from .backsweep import StateDistanceMetric, evaluate_states, greedy_policy
+from .backsweep import evaluate_states, greedy_policy
 from .core import (
     DemandProfile,
     GeneratorSpec,
@@ -36,7 +36,7 @@ from .core import (
     validate_instance,
 )
 from .dispatch import kkt_violation
-from .errors import InstanceParseError, InstanceValidationError
+from .errors import InstanceParseError, InstanceValidationError, UnitCommitmentError
 from .mdp import ScheduleSolution, UnitCommitmentMDP
 from .treesearch import (
     SearchConfig,
@@ -81,9 +81,17 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
+def _count(value):
+    """A whole-number field as int; a fractional or non-finite float is kept
+    as read, for ``validate_instance`` to report."""
+    if isinstance(value, float) and not value.is_integer():
+        return value
+    return int(value)
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
     try:
-        horizon = int(data["horizon"])
+        horizon = _count(data["horizon"])
         demand = tuple(float(x) for x in data["demand_mw"])
         reserve = tuple(float(x) for x in data["reserve_mw"])
         gens = []
@@ -93,7 +101,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
                 raise InstanceParseError(f"generator entry missing fields {missing}")
             gens.append(
                 GeneratorSpec(
-                    id=int(row["id"]),
+                    id=_count(row["id"]),
                     a=float(row["a"]),
                     b=float(row["b"]),
                     c=float(row["c"]),
@@ -103,9 +111,9 @@ def instance_from_dict(data: dict) -> ProblemInstance:
                     h=float(row["h"]),
                     p_min=float(row["p_min_mw"]),
                     p_max=float(row["p_max_mw"]),
-                    t_up=int(row["t_up_h"]),
-                    t_down=int(row["t_down_h"]),
-                    initial_status=int(row["initial_status_h"]),
+                    t_up=_count(row["t_up_h"]),
+                    t_down=_count(row["t_down_h"]),
+                    initial_status=_count(row["initial_status_h"]),
                 )
             )
     except InstanceParseError:
@@ -126,7 +134,9 @@ def load_instance(path) -> ProblemInstance:
     InstanceValidationError (carrying the report) on invariant breaks.
     """
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise InstanceParseError(f"{path}: not UTF-8 text at byte {err.start}") from None
     except json.JSONDecodeError as err:
         raise InstanceParseError(f"{path}: invalid JSON at line {err.lineno}") from None
     instance = instance_from_dict(data)
@@ -295,10 +305,9 @@ def run(
         warm_h = parse_warm_start(warm_start)
         config.update({"ns": n_samples, "warm_start": f"tree:H={warm_h}"})
         warm = tree_search_policy(s0, SearchConfig(warm_h, threads=threads), env)
-        metric = StateDistanceMetric().for_instance(instance)
         rng = np.random.default_rng(seed)
-        value_set = evaluate_states(n_samples, warm.terminal_state, env, metric, rng)
-        solution = greedy_policy(value_set, s0, env, metric)
+        slices = evaluate_states(n_samples, warm.terminal_state, env, rng)
+        solution = greedy_policy(slices, s0, env)
     else:
         config.update(
             {
@@ -392,7 +401,19 @@ def write_run(report: RunReport, out_dir, instance: ProblemInstance) -> None:
 
 
 def read_summary(run_dir) -> dict:
-    return json.loads((Path(run_dir) / "summary.json").read_text())
+    """A run's ``summary.json``; UnitCommitmentError naming the file unless
+    it is a JSON object with the fields the report reads."""
+    path = Path(run_dir) / "summary.json"
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise UnitCommitmentError(f"{path}: not a JSON run summary ({err})") from None
+    fields = {"algorithm": str, "objective_usd": (int, float), "runtime_s": (int, float)}
+    bad = [k for k, kind in fields.items()
+           if not isinstance(summary, dict) or not isinstance(summary.get(k), kind)]
+    if bad:
+        raise UnitCommitmentError(f"{path}: summary has no valid {', '.join(bad)}")
+    return summary
 
 
 def render_report(summaries: list[dict]) -> str:

@@ -114,9 +114,7 @@ class UnitCommitmentMDP:
         )
         # by hour: bit-packed action -> dispatch cost
         self._dispatch_cost_memo: list[dict[int, float]] = [{} for _ in range(self.horizon)]
-        # by hour, keyed lock-on mask << N | lock-off mask: no feasible action,
-        # and the feasible actions themselves
-        self._dead_end_memo: list[dict[int, bool]] = [{} for _ in range(self.horizon)]
+        # by hour, keyed lock-on mask << N | lock-off mask: the feasible actions
         self._feasible_memo: list[dict[int, tuple[int, ...]]] = [
             {} for _ in range(self.horizon)
         ]
@@ -161,7 +159,7 @@ class UnitCommitmentMDP:
     def is_catastrophe(self, state: SystemState) -> bool:
         if state.hour >= self.horizon:
             return False
-        return self._dead_end(state.hour, *self._lock_masks(state.status))
+        return not self._feasible_for_locks(state.hour, *self._lock_masks(state.status))
 
     def child_dead_end(self, status, hour: int):
         """Predicate on a bit-packed action from ``status`` at ``hour``:
@@ -169,21 +167,13 @@ class UnitCommitmentMDP:
 
         The child's locks are read off the parent as bit masks, once per
         call and without building the child's status; the predicate looks
-        each child up in the per-hour dead-end memo.
+        each child's feasible set up by those masks.
         """
         if hour + 1 >= self.horizon:
             return lambda aint: False
         on_lock, off_lock = self._child_lock_masks(status)
-        memo = self._dead_end_memo[hour + 1]
-        n = self.n_units
-
-        def dead(aint: int) -> bool:
-            found = memo.get((aint & on_lock) << n | (~aint & off_lock))
-            if found is None:
-                return self._dead_end(hour + 1, aint & on_lock, ~aint & off_lock)
-            return found
-
-        return dead
+        feasible = self._feasible_for_locks
+        return lambda aint: not feasible(hour + 1, aint & on_lock, ~aint & off_lock)
 
     # -- rewards and replay ----------------------------------------------
 
@@ -349,24 +339,14 @@ class UnitCommitmentMDP:
                 off_lock |= self._mask[i]
         return on_lock, off_lock
 
-    def _dead_end(self, hour: int, lock_on: int, lock_off: int) -> bool:
-        """True iff no action at ``hour`` respects these lock masks; memoised."""
-        memo = self._dead_end_memo[hour]
-        key = lock_on << self.n_units | lock_off
-        dead = memo.get(key)
-        if dead is None:
-            if self._acts_by_hour is not None:
-                arr = self._acts_by_hour[hour]
-                dead = not np.any(((arr & lock_on) == lock_on) & ((arr & lock_off) == 0))
-            else:
-                dead = not self._feasible_ints_generic(hour, lock_on, lock_off)
-            memo[key] = dead
-        return dead
-
     def _feasible_ints(self, status, hour: int) -> tuple[int, ...]:
         """Feasible actions as bit-packed integers, ascending (= lex on
-        bit tuples, MSB is unit 0); memoised per hour by the lock masks."""
-        lock_on, lock_off = self._lock_masks(status)
+        bit tuples, MSB is unit 0)."""
+        return self._feasible_for_locks(hour, *self._lock_masks(status))
+
+    def _feasible_for_locks(self, hour: int, lock_on: int, lock_off: int) -> tuple[int, ...]:
+        """Actions at ``hour`` that keep these lock masks and pass the set
+        limits, ascending; memoised per hour by the masks."""
         memo = self._feasible_memo[hour]
         key = lock_on << self.n_units | lock_off
         feas = memo.get(key)

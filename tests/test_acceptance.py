@@ -14,7 +14,6 @@ import numpy as np
 from ucplan import (
     NoFeasibleActionError,
     SearchConfig,
-    StateDistanceMetric,
     SubsampleConfig,
     SystemState,
     UnitCommitmentMDP,
@@ -73,13 +72,12 @@ def test_criterion_3_back_sweep_is_exact_under_full_sampling():
         inst = gen_instance(2, 4, seed)
         env = UnitCommitmentMDP(inst)
         best = exhaustive_optimum(env)
-        metric = StateDistanceMetric().for_instance(inst)
         anchor = SystemState(
             tuple(min(g.initial_status + env.horizon, STATUS_CAP) for g in inst.generators),
             env.horizon,
         )
-        value_set = evaluate_states(space, anchor, env, metric, np.random.default_rng(seed))
-        sweep = greedy_policy(value_set, env.initial_state(), env, metric)
+        slices = evaluate_states(space, anchor, env, np.random.default_rng(seed))
+        sweep = greedy_policy(slices, env.initial_state(), env)
         assert sweep.objective == best.objective
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

@@ -31,6 +31,11 @@ def trap_env():
     return UnitCommitmentMDP(inst)
 
 
+# (alpha, epsilon, the rate named in the error)
+BAD_RATES = [(5.0, 0.1, "alpha"), (-0.1, 0.1, "alpha"), (0.1, -3.0, "epsilon"),
+             (0.1, 1.5, "epsilon")]
+
+
 class TestFeatures:
     def test_dimension_is_quadratic_in_fleet_size(self):
         for n in (1, 2, 4):
@@ -119,6 +124,15 @@ class TestGreedyActionFromQ:
 
 
 class TestSarsa:
+    @pytest.mark.parametrize("alpha, epsilon, name", BAD_RATES)
+    def test_rates_outside_the_unit_interval_are_refused(
+        self, two_unit_instance, alpha, epsilon, name
+    ):
+        env = UnitCommitmentMDP(two_unit_instance)
+        policy = PerceptronTreePolicy(env.horizon, env.n_units)
+        with pytest.raises(ValueError, match=name):
+            sarsa_evaluate(policy, alpha, epsilon, 5, np.random.default_rng(0), env)
+
     def test_zero_step_size_leaves_weights_at_zero(self, two_unit_instance):
         env = UnitCommitmentMDP(two_unit_instance)
         policy = PerceptronTreePolicy(env.horizon, env.n_units)
@@ -237,6 +251,14 @@ class TestPerceptronTree:
 
 
 class TestApproximatePolicyIteration:
+    @pytest.mark.parametrize("alpha, epsilon, name", BAD_RATES)
+    def test_rates_outside_the_unit_interval_are_refused(
+        self, two_unit_instance, alpha, epsilon, name
+    ):
+        env = UnitCommitmentMDP(two_unit_instance)
+        with pytest.raises(ValueError, match=name):
+            approximate_policy_iteration(1, alpha, epsilon, 5, np.random.default_rng(0), env)
+
     def test_single_pure_exploration_iteration_runs(self, two_unit_instance):
         env = UnitCommitmentMDP(two_unit_instance)
         policy, sol = approximate_policy_iteration(

@@ -4,7 +4,6 @@ import pytest
 from ucplan import (
     EmptySliceError,
     HourMismatchError,
-    StateDistanceMetric,
     SystemState,
     UnitCommitmentMDP,
     evaluate_states,
@@ -31,21 +30,26 @@ def terminal_anchor(env):
     return SystemState(status, env.horizon)
 
 
+def lock_caps(instance):
+    """The counter caps the solvers use: each unit's max(t_up, t_down)."""
+    return tuple(max(g.t_up, g.t_down) for g in instance.generators)
+
+
 class TestStateDistance:
-    metric = StateDistanceMetric(counter_caps=(3,))
+    caps = (3,)
 
     def test_identity(self):
         s = SystemState((5,), 2)
-        assert state_distance(s, s, self.metric) == 0.0
+        assert state_distance(s, s, self.caps) == 0.0
 
     def test_sign_flip_beyond_cap_costs_only_the_sign_weight(self):
         # +5 vs -5 with caps at 3: magnitudes clip equal, signs differ
-        d = state_distance(SystemState((5,), 0), SystemState((-5,), 0), self.metric)
+        d = state_distance(SystemState((5,), 0), SystemState((-5,), 0), self.caps)
         assert d == SIGN_MISMATCH_WEIGHT
 
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(0)
-        metric = StateDistanceMetric(counter_caps=(3, 4, 2))
+        caps = (3, 4, 2)
         for _ in range(100):
             s1, s2 = (
                 SystemState(
@@ -53,11 +57,11 @@ class TestStateDistance:
                 )
                 for _ in range(2)
             )
-            assert state_distance(s1, s2, metric) == state_distance(s2, s1, metric)
+            assert state_distance(s1, s2, caps) == state_distance(s2, s1, caps)
 
     def test_triangle_inequality_on_random_triples(self):
         rng = np.random.default_rng(1)
-        metric = StateDistanceMetric(counter_caps=(3, 4))
+        caps = (3, 4)
         for _ in range(200):
             a, b, c = (
                 SystemState(
@@ -65,53 +69,53 @@ class TestStateDistance:
                 )
                 for _ in range(3)
             )
-            assert state_distance(a, c, metric) <= (
-                state_distance(a, b, metric) + state_distance(b, c, metric) + 1e-12
+            assert state_distance(a, c, caps) <= (
+                state_distance(a, b, caps) + state_distance(b, c, caps) + 1e-12
             )
 
     def test_hour_mismatch_raises(self):
         with pytest.raises(HourMismatchError):
-            state_distance(SystemState((1,), 0), SystemState((1,), 1), self.metric)
+            state_distance(SystemState((1,), 0), SystemState((1,), 1), self.caps)
 
 
 class TestNearestNeighbor:
-    metric = StateDistanceMetric(counter_caps=(3, 3))
+    caps = (3, 3)
 
     def make_slice(self, entries):
-        sl = ValueSlice(1)
+        sl = ValueSlice(1, self.caps)
         for status, value in entries:
             sl.add(SystemState(status, 1), value)
         return sl
 
     def test_exact_match_returns_itself(self):
         sl = self.make_slice([((5, 5), -10.0), ((2, 2), -20.0)])
-        state, value = nearest_neighbor(SystemState((2, 2), 1), sl, self.metric)
+        state, value = nearest_neighbor(SystemState((2, 2), 1), sl)
         assert state.status == (2, 2) and value == -20.0
 
     def test_exact_match_beats_zero_distance_twin(self):
         # +5 and +6 clip to the same point; the true state must win
         sl = self.make_slice([((6, 2), -10.0), ((5, 2), -20.0)])
-        _, value = nearest_neighbor(SystemState((5, 2), 1), sl, self.metric)
+        _, value = nearest_neighbor(SystemState((5, 2), 1), sl)
         assert value == -20.0
 
     def test_singleton_slice(self):
         sl = self.make_slice([((1, 1), -5.0)])
-        state, value = nearest_neighbor(SystemState((-24, 3), 1), sl, self.metric)
+        state, value = nearest_neighbor(SystemState((-24, 3), 1), sl)
         assert state.status == (1, 1) and value == -5.0
 
     def test_straddling_states_pick_the_closer(self):
         sl = self.make_slice([((-3, 1), -1.0), ((2, 1), -2.0)])
-        _, value = nearest_neighbor(SystemState((1, 1), 1), sl, self.metric)
+        _, value = nearest_neighbor(SystemState((1, 1), 1), sl)
         assert value == -2.0
 
     def test_empty_slice_raises(self):
         with pytest.raises(EmptySliceError):
-            nearest_neighbor(SystemState((1, 1), 1), ValueSlice(1), self.metric)
+            nearest_neighbor(SystemState((1, 1), 1), ValueSlice(1, self.caps))
 
     def test_hour_mismatch_raises(self):
         sl = self.make_slice([((1, 1), 0.0)])
         with pytest.raises(HourMismatchError):
-            nearest_neighbor(SystemState((1, 1), 2), sl, self.metric)
+            nearest_neighbor(SystemState((1, 1), 2), sl)
 
 
 class TestSampleEnvironment:
@@ -159,13 +163,13 @@ class TestSampleEnvironment:
         for n in (2, 6):
             inst = gen_instance(n, 4, 1)
             env = UnitCommitmentMDP(inst)
-            metric = StateDistanceMetric().for_instance(inst)
+            caps = lock_caps(inst)
             anchor = SystemState((2,) * n, 0)
             dists = []
             for seed in range(20):
                 rng = np.random.default_rng(seed)
                 for s in sample_environment(anchor, 30, rng, env)[1:]:
-                    dists.append(state_distance(anchor, s, metric))
+                    dists.append(state_distance(anchor, s, caps))
             spreads.append(np.mean(dists))
         assert spreads[1] > spreads[0]
 
@@ -181,10 +185,9 @@ class TestEvaluateStates:
             env = UnitCommitmentMDP(inst)
             state = SystemState(status, 0)
             assert env.feasible_actions(state) == [action]
-            metric = StateDistanceMetric().for_instance(inst)
             rng = np.random.default_rng(0)
-            vs = evaluate_states(1, SystemState(status, 1), env, metric, rng)
-            s0 = vs.slice_at(0)
+            vs = evaluate_states(1, SystemState(status, 1), env, rng)
+            s0 = vs[0]
             assert s0.states[0].status == status
             forced = env.reward(state, action)
             assert s0.values[0] == forced
@@ -194,12 +197,11 @@ class TestEvaluateStates:
     def test_exhaustive_sampling_reproduces_exact_dp(self):
         inst = gen_instance(2, 4, 3)
         env = UnitCommitmentMDP(inst)
-        metric = StateDistanceMetric().for_instance(inst)
         rng = np.random.default_rng(0)
-        vs = evaluate_states(48**2, terminal_anchor(env), env, metric, rng)
+        vs = evaluate_states(48**2, terminal_anchor(env), env, rng)
         dp = exact_dp(env)
         for t in range(env.horizon + 1):
-            sl = vs.slice_at(t)
+            sl = vs[t]
             assert len(sl) == 48**2
             for state, value in zip(sl.states, sl.values):
                 assert value == dp[(t, state.status)]
@@ -219,15 +221,13 @@ class TestEvaluateStates:
             reserve=base.profile.reserve,
         )
         env1, env2 = UnitCommitmentMDP(base), UnitCommitmentMDP(doubled)
-        m1 = StateDistanceMetric().for_instance(base)
-        m2 = StateDistanceMetric().for_instance(doubled)
-        vs1 = evaluate_states(40, terminal_anchor(env1), env1, m1, np.random.default_rng(9))
-        vs2 = evaluate_states(40, terminal_anchor(env2), env2, m2, np.random.default_rng(9))
+        vs1 = evaluate_states(40, terminal_anchor(env1), env1, np.random.default_rng(9))
+        vs2 = evaluate_states(40, terminal_anchor(env2), env2, np.random.default_rng(9))
         from ucplan import BIG
 
         compared = 0
         for t in range(env1.horizon + 1):
-            s1, s2 = vs1.slice_at(t), vs2.slice_at(t)
+            s1, s2 = vs1[t], vs2[t]
             assert [s.status for s in s1.states] == [s.status for s in s2.states]
             for v1, v2 in zip(s1.values, s2.values):
                 if v1 <= -BIG / 2:  # catastrophe penalty is pinned, not scaled
@@ -242,23 +242,28 @@ class TestEvaluateStates:
 
         inst = gen_instance(2, 4, 2)
         env = UnitCommitmentMDP(inst)
-        metric = StateDistanceMetric().for_instance(inst)
         state = SystemState((2, 2), 1)
         child_status = env._advance(state.status, (1, 1))
         far = SystemState((-24, -24), 2)
-        sl = ValueSlice(2)
+        sl = ValueSlice(2, lock_caps(inst))
         sl.add(far, -1e6)
-        acts, before = _score_actions(env, state, sl, metric)
+        acts, before = _score_actions(env, state, sl)
         sl.add(SystemState(child_status, 2), 0.0)  # exact neighbor, higher value
-        _, after = _score_actions(env, state, sl, metric)
+        _, after = _score_actions(env, state, sl)
         assert after.max() > before.max()
+
+    def test_every_slice_clips_counters_at_the_lock_horizons(self):
+        inst = gen_instance(3, 4, 5)
+        env = UnitCommitmentMDP(inst)
+        vs = evaluate_states(4, terminal_anchor(env), env, np.random.default_rng(0))
+        assert [sl.hour for sl in vs] == list(range(env.horizon + 1))
+        assert all(tuple(sl.caps.tolist()) == lock_caps(inst) for sl in vs)
 
     def test_anchor_must_be_terminal(self):
         inst = gen_instance(2, 4, 0)
         env = UnitCommitmentMDP(inst)
-        metric = StateDistanceMetric().for_instance(inst)
         with pytest.raises(ValueError):
-            evaluate_states(5, SystemState((1, 1), 2), env, metric, np.random.default_rng(0))
+            evaluate_states(5, SystemState((1, 1), 2), env, np.random.default_rng(0))
 
 
 class TestGreedyPolicy:
@@ -266,27 +271,24 @@ class TestGreedyPolicy:
         for seed in (0, 4):
             inst = gen_instance(2, 4, seed)
             env = UnitCommitmentMDP(inst)
-            metric = StateDistanceMetric().for_instance(inst)
             vs = evaluate_states(
-                48**2, terminal_anchor(env), env, metric, np.random.default_rng(0)
+                48**2, terminal_anchor(env), env, np.random.default_rng(0)
             )
-            sol = greedy_policy(vs, env.initial_state(), env, metric)
+            sol = greedy_policy(vs, env.initial_state(), env)
             assert sol.objective == exhaustive_optimum(env).objective
 
     def test_single_step_reduces_to_reward_argmax(self):
         gens = [make_gen(id=0, p_min=5.0, p_max=100.0)]
         inst = make_instance(gens, demand=[50.0], reserve=[5.0])
         env = UnitCommitmentMDP(inst)
-        metric = StateDistanceMetric().for_instance(inst)
-        vs = evaluate_states(3, SystemState((3,), 1), env, metric, np.random.default_rng(0))
-        sol = greedy_policy(vs, env.initial_state(), env, metric)
+        vs = evaluate_states(3, SystemState((3,), 1), env, np.random.default_rng(0))
+        sol = greedy_policy(vs, env.initial_state(), env)
         assert sol.actions == ((1,),)
 
     def test_deterministic_given_fixed_inputs(self):
         inst = gen_instance(3, 5, 7)
         env = UnitCommitmentMDP(inst)
-        metric = StateDistanceMetric().for_instance(inst)
-        vs = evaluate_states(30, terminal_anchor(env), env, metric, np.random.default_rng(2))
-        a = greedy_policy(vs, env.initial_state(), env, metric)
-        b = greedy_policy(vs, env.initial_state(), env, metric)
+        vs = evaluate_states(30, terminal_anchor(env), env, np.random.default_rng(2))
+        a = greedy_policy(vs, env.initial_state(), env)
+        b = greedy_policy(vs, env.initial_state(), env)
         assert a == b

@@ -5,7 +5,9 @@ import pytest
 
 from ucplan import (
     CostBreakdown,
+    DemandProfile,
     OutOfBoundsError,
+    ProblemInstance,
     generation_cost,
     startup_cost,
     validate_instance,
@@ -118,6 +120,30 @@ class TestValidateInstance:
         inst = make_instance(gens, demand=[50.0])
         report = validate_instance(inst)
         assert any("initial_status" in v.field for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "gen, demand, reserve, field, rule",
+        [
+            ({"p_max": math.inf}, 50.0, 0.0, "generators[0].p_max", "finite"),
+            ({"b": math.nan}, 50.0, 0.0, "generators[0].b", "finite"),
+            ({}, math.nan, 0.0, "profile.demand[0]", "finite"),
+            ({}, 50.0, math.inf, "profile.reserve[0]", "finite"),
+            ({"t_up": 2.5}, 50.0, 0.0, "generators[0].t_up", "whole number"),
+            ({"initial_status": 3.0}, 50.0, 0.0, "generators[0].initial_status",
+             "whole number"),
+        ],
+    )
+    def test_non_finite_and_fractional_numbers(self, gen, demand, reserve, field, rule):
+        inst = make_instance((make_gen(id=0, **gen),), demand=[demand], reserve=[reserve])
+        report = validate_instance(inst)
+        assert (field, rule) in [(v.field, v.rule) for v in report.violations]
+
+    def test_fractional_horizon(self):
+        profile = DemandProfile(1.5, (50.0,), (0.0,))
+        report = validate_instance(ProblemInstance((make_gen(id=0),), profile))
+        assert ("profile.horizon", "whole number") in [
+            (v.field, v.rule) for v in report.violations
+        ]
 
     def test_gapped_ids(self):
         gens = (make_gen(id=0), make_gen(id=2))

@@ -85,6 +85,38 @@ class TestInstanceFiles:
         with pytest.raises(InstanceParseError):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "edit, field, rule",
+        [
+            (lambda d: d["generators"][0].update(p_max_mw=float("inf")),
+             "generators[0].p_max", "finite"),
+            (lambda d: d["generators"][0].update(b=float("nan")), "generators[0].b", "finite"),
+            (lambda d: d.update(horizon=4.7), "profile.horizon", "whole number"),
+            (lambda d: d["generators"][2].update(t_down_h=1.5),
+             "generators[2].t_down", "whole number"),
+        ],
+        ids=["p_max Infinity", "b NaN", "horizon 4.7", "t_down 1.5"],
+    )
+    def test_non_finite_or_fractional_number_is_a_violation(self, tmp_path, edit, field, rule):
+        data = instance_to_dict(gen_instance(3, 4, 1))
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))  # Infinity and NaN, as json writes them
+        with pytest.raises(InstanceValidationError) as err:
+            load_instance(path)
+        assert (field, rule) in [(v.field, v.rule) for v in err.value.report.violations]
+
+    def test_whole_floats_load_as_integers(self, tmp_path):
+        inst = gen_instance(3, 4, 1)
+        data = instance_to_dict(inst)
+        data["horizon"] = 4.0
+        data["generators"][0]["t_up_h"] = float(data["generators"][0]["t_up_h"])
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(data))
+        loaded = load_instance(path)
+        assert loaded == inst and type(loaded.horizon) is int
+        assert type(loaded.generators[0].t_up) is int
+
     def test_missing_generator_field_reports_parse_error(self, tmp_path):
         inst = gen_instance(2, 4, 0)
         data = instance_to_dict(inst)
@@ -323,22 +355,35 @@ class TestCli:
             ("gen", ["-N", "0"]),
             ("gen", ["-T", "0"]),
             ("gen", ["--seed", "-1"]),
+            ("tree", ["-i", "latin1.json"]),
+            ("verify", ["-i", "latin1.json"]),
+            ("report", ["truncated"]),
+            ("report", ["partial"]),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, list) else x,
     )
     def test_bad_solve_input_gives_one_error_line(
         self, tmp_path, capsys, monkeypatch, algo, bad
     ):
-        """``algo`` "gen" checks ``uc gen -N 1 -T 6`` instead of a solve."""
+        """``algo`` "gen" checks ``uc gen -N 1 -T 6`` instead of a solve,
+        "verify" ``uc verify`` and "report" ``uc report -o out``; the run
+        directory "truncated" holds a summary.json of ``{``, and "partial"
+        one without ``objective_usd``."""
         monkeypatch.chdir(tmp_path)
         save_instance(gen_instance(3, 6, 1), tmp_path / "tiny.json")
-        command = ["gen", "-N", "1", "-T", "6"] if algo == "gen" else [
-            "solve", "-i", "tiny.json", "--algo", algo]
-        argv = [*command, "-o", "out", *bad]
-        assert uc_main(argv) != 0
+        (tmp_path / "latin1.json").write_bytes('{"horizon": 6, "name": "Sälen"}'.encode("latin-1"))
+        for name, text in (("truncated", "{"), ("partial", '{"algorithm": "tree", "runtime_s": 1.0}')):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(text)
+        command = {
+            "gen": ["gen", "-N", "1", "-T", "6", "-o", "out"],
+            "verify": ["verify", "-i", "tiny.json"],
+            "report": ["report", "-o", "out"],
+        }.get(algo, ["solve", "-i", "tiny.json", "--algo", algo, "-o", "out"])
+        assert uc_main([*command, *bad]) != 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert bad[0] in err[0] or bad[1] in err[0]
+        assert any(word in err[0] for word in bad)
         assert not (tmp_path / "out").exists()
 
     def test_identical_invocations_are_byte_identical(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucplan import (
@@ -13,6 +13,8 @@ from ucplan import (
     check_set_limits,
     economic_dispatch,
     gen_instance,
+    generation_cost,
+    kkt_violation,
     load_instance,
     startup_cost,
 )
@@ -322,6 +324,57 @@ class TestScheduleCost:
                 state = env.transition(state, action)
             assert sol.cost.objective == math.fsum(gen_atoms) + math.fsum(start_atoms)
             assert sol.cost.objective == sol.cost.generation_total + sol.cost.startup_total
+
+
+@st.composite
+def feasible_plans(draw):
+    """A ``gen_instance`` fleet of 1 to 4 units over 1 to 6 hours and a plan
+    walked through its feasible sets, one random action an hour."""
+    env = UnitCommitmentMDP(gen_instance(
+        draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(0, 10_000))
+    ))
+    state = env.initial_state()
+    plan = []
+    while state.hour < env.horizon:
+        feasible = env.feasible_actions(state)
+        assume(feasible)  # a dead end: the walk cannot finish
+        plan.append(draw(st.sampled_from(feasible)))
+        state = env.transition(state, plan[-1])
+    return env, plan
+
+
+class TestReplayProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(feasible_plans())
+    def test_cost_terms_sum_to_the_objective_along_advancing_states(self, case):
+        env, plan = case
+        gens = env.instance.generators
+        sol = env.replay(plan)
+        assert sol.states[0] == env.initial_state()
+        gen_terms, start_terms = [], []
+        for k, (action, result) in enumerate(zip(plan, sol.dispatches)):
+            status = sol.states[k].status
+            assert sol.states[k + 1] == SystemState(env._advance(status, action), k + 1)
+            for g, bit, st_, p in zip(gens, action, status, result.power):
+                if bit:
+                    gen_terms.append(generation_cost(g, p))
+                    if st_ < 0:
+                        start_terms.append(startup_cost(g, -st_))
+        assert len(sol.states) == env.horizon + 1
+        assert sol.cost.generation_total == math.fsum(gen_terms)
+        assert sol.cost.startup_total == math.fsum(start_terms)
+        assert sol.objective == math.fsum(gen_terms) + math.fsum(start_terms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(feasible_plans())
+    def test_dispatches_balance_and_meet_the_audit_kkt_bound(self, case):
+        env, plan = case
+        for hour, (action, result) in enumerate(zip(plan, env.replay(plan).dispatches)):
+            demand = env.instance.profile.demand[hour]
+            assert abs(math.fsum(result.power) - demand) <= 1e-9 * demand
+            # ``harness.audit_objective``'s bound
+            bound = max(1e-6, 2e-9 * abs(result.lam))
+            assert kkt_violation(result, env.instance.generators, action) <= bound
 
 
 class TestStateInvariants:
