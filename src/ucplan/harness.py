@@ -443,18 +443,26 @@ def report_csv_text(run_dirs) -> str:
     )
     for run_dir in run_dirs:
         summary = read_summary(run_dir)
-        by_hour: dict[int, list] = {}
-        with open(Path(run_dir) / "schedule.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                by_hour.setdefault(int(row["hour"]), []).append(row)
+        path = Path(run_dir) / "schedule.csv"
+        by_hour: dict[int, list] = {}  # (power, committed, cost) per unit row
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    by_hour.setdefault(int(row["hour"]), []).append((
+                        float(row["power_mw"]),
+                        int(row["committed"]),
+                        float(row["gen_cost_usd"]) + float(row["startup_cost_usd"]),
+                    ))
+        except (KeyError, TypeError, ValueError) as err:
+            raise UnitCommitmentError(
+                f"{path}: malformed schedule ({type(err).__name__}: {err})"
+            ) from None
         cumulative = 0.0
         for hour in sorted(by_hour):
             rows = by_hour[hour]
-            demand = sum(float(r["power_mw"]) for r in rows)
-            units_on = sum(int(r["committed"]) for r in rows)
-            cost = sum(
-                float(r["gen_cost_usd"]) + float(r["startup_cost_usd"]) for r in rows
-            )
+            demand = sum(power for power, _, _ in rows)
+            units_on = sum(committed for _, committed, _ in rows)
+            cost = sum(row_cost for _, _, row_cost in rows)
             cumulative += cost
             writer.writerow(
                 [summary["algorithm"], hour, repr(demand), units_on, repr(cost), repr(cumulative)]

@@ -359,6 +359,7 @@ class TestCli:
             ("verify", ["-i", "latin1.json"]),
             ("report", ["truncated"]),
             ("report", ["partial"]),
+            ("report", ["unscheduled"]),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, list) else x,
     )
@@ -367,14 +368,21 @@ class TestCli:
     ):
         """``algo`` "gen" checks ``uc gen -N 1 -T 6`` instead of a solve,
         "verify" ``uc verify`` and "report" ``uc report -o out``; the run
-        directory "truncated" holds a summary.json of ``{``, and "partial"
-        one without ``objective_usd``."""
+        directory "truncated" holds a summary.json of ``{``, "partial" one
+        without ``objective_usd``, and "unscheduled" a valid summary next to
+        a schedule.csv without ``power_mw``."""
         monkeypatch.chdir(tmp_path)
         save_instance(gen_instance(3, 6, 1), tmp_path / "tiny.json")
         (tmp_path / "latin1.json").write_bytes('{"horizon": 6, "name": "Sälen"}'.encode("latin-1"))
-        for name, text in (("truncated", "{"), ("partial", '{"algorithm": "tree", "runtime_s": 1.0}')):
+        partial = {"algorithm": "tree", "runtime_s": 1.0}
+        for name, text in (
+            ("truncated", "{"),
+            ("partial", json.dumps(partial)),
+            ("unscheduled", json.dumps({**partial, "objective_usd": 1.0})),
+        ):
             (tmp_path / name).mkdir()
             (tmp_path / name / "summary.json").write_text(text)
+        (tmp_path / "unscheduled" / "schedule.csv").write_text("hour,unit_id,committed\n0,0,1\n")
         command = {
             "gen": ["gen", "-N", "1", "-T", "6", "-o", "out"],
             "verify": ["verify", "-i", "tiny.json"],
