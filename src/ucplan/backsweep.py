@@ -6,8 +6,8 @@ backup whose successor values come from nearest-neighbor lookup into the
 already-valued next slice, then re-anchors on the best sampled state.
 ``greedy_policy`` afterwards sweeps forward once, picking the action that
 maximizes reward plus the neighbor-approximated successor value.  Both
-score actions with ``UnitCommitmentMDP.rewards``, the one definition of
-the hourly reward.
+score actions with ``_score_actions``: ``UnitCommitmentMDP.rewards`` plus
+the successors' neighbor values, from one matrix product per state.
 """
 
 import numpy as np
@@ -39,22 +39,14 @@ def state_distance(s1: SystemState, s2: SystemState, caps: tuple[int, ...]) -> f
     return total
 
 
-def _sign_clip(statuses: np.ndarray, caps: np.ndarray):
-    """Per-unit on/off signs and cap-clipped counter magnitudes of status rows."""
-    return statuses > 0, np.minimum(np.abs(statuses), caps)
-
-
-def _distances(q_sign, q_clip, sign, clip) -> np.ndarray:
-    """``state_distance`` from every query row to every stored row."""
-    return (
-        SIGN_MISMATCH_WEIGHT * (q_sign[:, None, :] != sign[None, :, :])
-        + COUNTER_SCALE * np.abs(q_clip[:, None, :] - clip[None, :, :])
-    ).sum(axis=2)
+def _clip(statuses: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Status rows with each counter clipped at its unit's cap, sign kept."""
+    return np.sign(statuses) * np.minimum(np.abs(statuses), caps)
 
 
 class ValueSlice:
     """States valued at one hour, queryable by nearest neighbor under
-    ``state_distance`` with per-unit counter ``caps``."""
+    ``state_distance`` with per-unit counter ``caps`` (each >= 1)."""
 
     def __init__(self, hour: int, caps: tuple[int, ...]):
         self.hour = hour
@@ -75,46 +67,36 @@ class ValueSlice:
         return self._index.get(status)
 
     def arrays(self):
-        """(sign matrix, clipped-magnitude matrix, value vector), cached."""
+        """(distance table, value vector), cached.  ``table[i, K + v, j]``,
+        K the largest cap, is unit ``i``'s ``state_distance`` term between a
+        counter that clips to ``v`` and stored state ``j``."""
         if self._cached != len(self.states):
-            status = np.array([s.status for s in self.states])
-            self._sign, self._clip = _sign_clip(status, self.caps)
+            stored = _clip(np.array([s.status for s in self.states]), self.caps).T.copy()[:, None]
+            v = np.arange(-self.caps.max(), self.caps.max() + 1)[:, None]
+            self._table = SIGN_MISMATCH_WEIGHT * ((v > 0) != (stored > 0)) + (
+                COUNTER_SCALE * np.abs(np.abs(v) - np.abs(stored))
+            )
             self._vals = np.array(self.values)
             self._cached = len(self.states)
-        return self._sign, self._clip, self._vals
-
-    def nearest(self, statuses: np.ndarray) -> list[int]:
-        """Index of the nearest stored state for every status row.
-
-        An exact status match wins outright (the clipped distance is a
-        pseudometric, so distinct states can sit at distance zero); the
-        other rows take the first minimum, so ties resolve by insertion
-        order.
-        """
-        found = [self.exact_index(tuple(row)) for row in statuses.tolist()]
-        miss = [k for k, j in enumerate(found) if j is None]
-        if miss:
-            sign, clip, _ = self.arrays()
-            q_sign, q_clip = _sign_clip(statuses[miss], self.caps)
-            chunk = max(1, 2_000_000 // max(1, len(self) * statuses.shape[1]))
-            for lo in range(0, len(miss), chunk):
-                hi = lo + chunk
-                d = _distances(q_sign[lo:hi], q_clip[lo:hi], sign, clip)
-                for k, j in zip(miss[lo:hi], np.argmin(d, axis=1).tolist()):
-                    found[k] = j
-        return found
+        return self._table, self._vals
 
     def __len__(self) -> int:
         return len(self.states)
 
 
 def nearest_neighbor(state: SystemState, slice_: ValueSlice) -> tuple[SystemState, float]:
-    """Closest stored (state, value) pair, as ``ValueSlice.nearest`` picks it."""
+    """Closest stored (state, value) pair: an exact status match, since the
+    clipped distance is a pseudometric, else the first at minimum
+    ``state_distance``.  ``_score_actions`` applies this rule to all actions."""
     if len(slice_) == 0:
         raise EmptySliceError(f"no states stored at hour {state.hour}")
     if state.hour != slice_.hour:
         raise HourMismatchError(f"state hour {state.hour} != slice hour {slice_.hour}")
-    best = slice_.nearest(np.array([state.status]))[0]
+    best = slice_.exact_index(state.status)
+    if best is None:
+        caps = slice_.caps.tolist()
+        d = [state_distance(state, s, caps) for s in slice_.states]
+        best = d.index(min(d))
     return slice_.states[best], slice_.values[best]
 
 
@@ -160,7 +142,16 @@ def sample_environment(
 
 def _score_actions(env: UnitCommitmentMDP, state: SystemState, nxt: ValueSlice):
     """Backup score (reward + neighbor value of the successor) for every
-    feasible action, vectorized over the next slice.
+    feasible action, with one matrix product over the next slice.
+
+    Each unit's child counter is one of two values, off or on, so the
+    distance from action row ``a`` to stored state ``j`` is ``base[j] +
+    bits[a] @ delta[:, j]``, ``base`` the all-off child's and ``delta`` each
+    unit's change when on.  The weights are integers and clipped counters at
+    most ``STATUS_CAP``, so every partial sum is an integer far below 2**53:
+    any BLAS summation order gives the same floats, hence the same first
+    minima as ``nearest_neighbor``.  An exact status match still wins; only
+    rows at distance 0 can hold one.
 
     Returns (action ints ascending, score vector); empty list from a
     catastrophe state.
@@ -171,14 +162,18 @@ def _score_actions(env: UnitCommitmentMDP, state: SystemState, nxt: ValueSlice):
     n = env.n_units
     bits = (np.array(acts)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     st = np.array(state.status)
-    child = np.where(
-        bits,
-        np.where(st > 0, np.minimum(st + 1, STATUS_CAP), 1),
-        np.where(st < 0, np.maximum(st - 1, -STATUS_CAP), -1),
-    )
+    off = np.where(st < 0, np.maximum(st - 1, -STATUS_CAP), -1)
+    on = np.where(st > 0, np.minimum(st + 1, STATUS_CAP), 1)
+    table, vals = nxt.arrays()
+    d_off, d_on = table[np.arange(n), _clip(np.array([off, on]), nxt.caps) + nxt.caps.max()]
+    dist = d_off.sum(axis=0) + bits.astype(float) @ (d_on - d_off)
+    best = dist.argmin(axis=1)
+    for k in np.flatnonzero(dist.min(axis=1) == 0).tolist():
+        j = nxt.exact_index(tuple(np.where(bits[k], on, off).tolist()))
+        if j is not None:
+            best[k] = j
     rewards = np.array(env.rewards(state.status, state.hour, acts))
-    _, _, vals = nxt.arrays()
-    return acts, rewards + vals[nxt.nearest(child)]
+    return acts, rewards + vals[best]
 
 
 def evaluate_states(

@@ -153,9 +153,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     summaries = [harness.read_summary(d) for d in args.dirs]
+    # read every schedule.csv before printing, so a bad one prints no table
+    rollup = harness.report_csv_text(args.dirs) if args.out else None
     print(harness.render_report(summaries))
-    if args.out:
-        Path(args.out).write_text(harness.report_csv_text(args.dirs))
+    if rollup is not None:
+        Path(args.out).write_text(rollup)
         print(f"per-hour roll-up written to {args.out}")
     return 0
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ucplan.backsweep as backsweep
 from ucplan import (
     EmptySliceError,
     HourMismatchError,
@@ -16,11 +19,12 @@ from ucplan import (
     sample_environment,
     state_distance,
 )
-from ucplan.backsweep import SIGN_MISMATCH_WEIGHT, ValueSlice
+from ucplan.backsweep import SIGN_MISMATCH_WEIGHT, ValueSlice, _score_actions
 from ucplan.core import STATUS_CAP
+from ucplan.harness import load_instance, run
 from ucplan.mdp import all_statuses
 
-from conftest import cold_start, make_gen, make_instance
+from conftest import INSTANCES, cold_start, make_gen, make_instance
 
 
 def terminal_anchor(env):
@@ -116,6 +120,87 @@ class TestNearestNeighbor:
         sl = self.make_slice([((1, 1), 0.0)])
         with pytest.raises(HourMismatchError):
             nearest_neighbor(SystemState((1, 1), 2), sl)
+
+
+def reference_scores(env, state, nxt):
+    """``_score_actions`` the slow way: reward plus ``nearest_neighbor``'s
+    value, one successor at a time."""
+    acts = env._feasible_ints(state.status, state.hour)
+    rewards = env.rewards(state.status, state.hour, acts)
+    return acts, [
+        r + nearest_neighbor(env.transition(state, env._bits_of(a)), nxt)[1]
+        for a, r in zip(acts, rewards)
+    ]
+
+
+def assert_scores_match_reference(env, state, nxt):
+    acts, scores = _score_actions(env, state, nxt)
+    ref_acts, ref_scores = reference_scores(env, state, nxt)
+    assert acts == ref_acts
+    if not acts:
+        assert scores is None
+        return
+    assert [repr(x) for x in scores.tolist()] == [repr(x) for x in ref_scores]
+
+
+statuses = st.integers(-STATUS_CAP, STATUS_CAP).filter(bool)
+values = st.integers(-10**6, 0).map(float)
+
+
+@st.composite
+def scored_slices(draw):
+    """A random fleet, parent state and next-hour slice.  The slice holds
+    random rows (counters beyond the caps included), duplicate statuses,
+    and one feasible child stored after a zero-distance twin whose
+    counters differ only beyond the caps."""
+    n = draw(st.integers(1, 5))
+    inst = gen_instance(n, 3, draw(st.integers(0, 10_000)))
+    env = UnitCommitmentMDP(inst)
+    hour = draw(st.integers(0, env.horizon - 1))
+    state = SystemState(tuple(draw(st.lists(statuses, min_size=n, max_size=n))), hour)
+    rows = draw(st.lists(
+        st.tuples(st.lists(statuses, min_size=n, max_size=n).map(tuple), values),
+        min_size=1, max_size=12,
+    ))
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows.append((rows[k][0], draw(values)))  # duplicate status, own value
+    acts = env._feasible_ints(state.status, state.hour)
+    if acts:
+        child = env._advance(state.status, env._bits_of(draw(st.sampled_from(acts))))
+        twin = tuple(
+            c if abs(c) < cap else (1 if c > 0 else -1) * draw(st.integers(cap, STATUS_CAP))
+            for c, cap in zip(child, lock_caps(inst))
+        )
+        value = draw(values)
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(draw(st.integers(at, len(rows))), (child, value - 1.0))
+        rows.insert(at, (twin, value))
+    nxt = ValueSlice(hour + 1, lock_caps(inst))
+    for status, value in rows:
+        nxt.add(SystemState(status, hour + 1), value)
+    return env, state, nxt
+
+
+class TestScoreActions:
+    """The one-product scoring against the per-successor reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_slices())
+    def test_scores_match_nearest_neighbor_reference(self, case):
+        assert_scores_match_reference(*case)
+
+    def test_every_scored_state_of_an_n8_sweep_matches_the_reference(self, monkeypatch):
+        checked = []
+
+        def score_and_check(env, state, nxt):
+            assert_scores_match_reference(env, state, nxt)
+            checked.append(state)
+            return _score_actions(env, state, nxt)
+
+        monkeypatch.setattr(backsweep, "_score_actions", score_and_check)
+        run(load_instance(INSTANCES / "n8_t24.json"), "backsweep", n_samples=20)
+        # 20 states at each of 24 hours, then one greedy step per hour
+        assert len(checked) == 24 * 20 + 24
 
 
 class TestSampleEnvironment:
@@ -238,8 +323,6 @@ class TestEvaluateStates:
         assert compared > 50
 
     def test_new_nearer_richer_neighbor_raises_the_backup(self):
-        from ucplan.backsweep import _score_actions
-
         inst = gen_instance(2, 4, 2)
         env = UnitCommitmentMDP(inst)
         state = SystemState((2, 2), 1)

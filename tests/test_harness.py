@@ -270,6 +270,24 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "Objective" in captured
 
+    def test_report_with_a_malformed_schedule_prints_only_the_error(self, tmp_path, capsys):
+        inst_path = tmp_path / "tiny.json"
+        assert uc_main(["gen", "-N", "3", "-T", "6", "--seed", "1", "-o", str(inst_path)]) == 0
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        for out in (good, bad):
+            assert uc_main([
+                "solve", "-i", str(inst_path), "--algo", "tree", "-H", "1", "-o", str(out)
+            ]) == 0
+        (bad / "schedule.csv").write_text("hour,unit_id,committed\n0,0,1\n")
+        capsys.readouterr()
+        roll = tmp_path / "roll.csv"
+        assert uc_main(["report", str(good), str(bad), "-o", str(roll)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "malformed schedule" in err[0]
+        assert not roll.exists()
+
     def test_verify_passes_on_small_instance(self, tmp_path, capsys):
         inst_path = tmp_path / "tiny.json"
         uc_main(["gen", "-N", "2", "-T", "4", "--seed", "3", "-o", str(inst_path)])
