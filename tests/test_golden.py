@@ -1,9 +1,10 @@
 """Golden values pinned before a change to the solvers' arithmetic.
 
 The small-instance digests were recorded before the reward kernel was
-unified, the bundled-instance tree ones before dispatch was batched, and
-the bundled-instance tree-sub ones before the two search recursions were
-merged.  Each digest covers a solver's emitted ``schedule.csv`` text plus
+unified, the bundled-instance tree ones before dispatch was batched (the
+two deepest, ``n8_t24`` at H=4 and ``n12_t24`` at H=3, before the tree
+searches pruned against a reward bound), and the bundled-instance
+tree-sub ones before the two search recursions were merged.  Each digest covers a solver's emitted ``schedule.csv`` text plus
 the ``repr`` of its per-hour step values, so a change in the last bit of
 any value the search reports fails here.  The small solver instance has a
 multi-start-up hour in all three plans; the oracle instance starts both
@@ -41,8 +42,10 @@ BUNDLED_TREE_DIGESTS = {
     ("n8_t24", 1): "05f89cc58a499f0c23ea12719fe257e3798e6acc4d83d7dbc663e518f01ec30c",
     ("n8_t24", 2): "30cd8cd7c8c253bf1d03baa678d72604099cbbf7be4f7c86187140eb9171beb9",
     ("n8_t24", 3): "d6c898e5b785d1903fcf4cb03e128ae28fec089bc2f68751987bcbaa647a312f",
+    ("n8_t24", 4): "658436a1bca718327cebd5f7eb4f7b7d15e6032f10615842dfec4ce05634c666",
     ("n12_t24", 1): "e4636d014218c56c26d9702abbdefb00a5a37734816a8dce904ae5849e0dda2b",
     ("n12_t24", 2): "cf60d5372808069556112ac2d50c657376f4f64700925bc8bb9649c34950e0eb",
+    ("n12_t24", 3): "cf170ec33b13e07019f5be44db5fa9638ba9b9a74e983e45c9bd3e6ea57f9a2c",
 }
 
 # sub-sampled tree search (rho 0.5, seed 0) on the bundled instances:
