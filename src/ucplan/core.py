@@ -124,9 +124,7 @@ class ValidationReport:
     def describe(self) -> str:
         if self.ok:
             return "ok"
-        return "\n".join(
-            f"  {v.field}: {v.rule} (got {v.value})" for v in self.violations
-        )
+        return "; ".join(f"{v.field}: {v.rule} (got {v.value})" for v in self.violations)
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
@@ -156,8 +154,9 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
             bad.append(Violation(f"{where}.p_min", "0 <= p_min <= p_max", (g.p_min, g.p_max)))
         if not g.p_max > 0:
             bad.append(Violation(f"{where}.p_max", "p_max > 0", g.p_max))
-        if g.a < 0:
-            bad.append(Violation(f"{where}.a", "a >= 0", g.a))
+        for name in ("a", "e", "f", "g", "h"):
+            if getattr(g, name) < 0:
+                bad.append(Violation(f"{where}.{name}", f"{name} >= 0", getattr(g, name)))
         if g.t_up < 1:
             bad.append(Violation(f"{where}.t_up", "t_up >= 1", g.t_up))
         if g.t_down < 1:
@@ -168,10 +167,6 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
             bad.append(
                 Violation(f"{where}.initial_status", "|initial_status| <= 24", g.initial_status)
             )
-        if g.g < 0:
-            bad.append(Violation(f"{where}.g", "g >= 0", g.g))
-        if g.h < 0:
-            bad.append(Violation(f"{where}.h", "h >= 0", g.h))
 
     ids = [g.id for g in instance.generators]
     if sorted(ids) != list(range(len(ids))):

@@ -49,8 +49,9 @@ class InstanceParseError(UnitCommitmentError):
 
 
 class InstanceValidationError(UnitCommitmentError):
-    """Instance violates domain invariants; ``report`` lists the violations."""
+    """Instance violates domain invariants; ``report`` lists the violations,
+    all on the message's one line."""
 
-    def __init__(self, report):
-        super().__init__("instance failed validation:\n" + report.describe())
+    def __init__(self, report, path):
+        super().__init__(f"{path}: instance failed validation: {report.describe()}")
         self.report = report

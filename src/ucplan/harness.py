@@ -142,7 +142,7 @@ def load_instance(path) -> ProblemInstance:
     instance = instance_from_dict(data)
     report = validate_instance(instance)
     if not report.ok:
-        raise InstanceValidationError(report)
+        raise InstanceValidationError(report, path)
     return instance
 
 

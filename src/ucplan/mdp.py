@@ -14,7 +14,7 @@ States with no feasible action ("catastrophe" states) are valued at
 
 import itertools
 from dataclasses import dataclass, replace
-from math import fsum
+from math import fsum, inf
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class UnitCommitmentMDP:
     All methods are pure with respect to observable behaviour; dispatch
     costs are memoized internally because every solver re-evaluates the
     same (committed set, hour) pairs many times.
+
+    Every start-up price must be >= 0, as it is when ``e, f >= 0`` (which
+    ``validate_instance`` checks): ``reward_bound`` relies on it.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -118,6 +121,8 @@ class UnitCommitmentMDP:
         self._feasible_memo: list[dict[int, tuple[int, ...]]] = [
             {} for _ in range(self.horizon)
         ]
+        # by hour: ``reward_bound``, built on first use
+        self._reward_bounds: list[float | None] = [None] * self.horizon
 
         if n <= _TABLE_LIMIT:
             ints = np.arange(1 << n, dtype=np.int64)
@@ -215,6 +220,22 @@ class UnitCommitmentMDP:
                 bills[on] = fsum([price for mask, price in starts if on & mask])
             out.append(-(cost + bills[on]))
         return out
+
+    def reward_bound(self, hour: int) -> float:
+        """Upper bound on every ``rewards`` entry at ``hour``, from any status.
+
+        The largest minus dispatch cost over the actions that pass the
+        hour's set limits, -inf if none does.  Start-up bills are >= 0, so
+        no reward exceeds its action's minus dispatch cost; priced from a
+        status with every unit on, which bills no start-up.
+        """
+        bound = self._reward_bounds[hour]
+        if bound is None:
+            aints = self._feasible_for_locks(hour, 0, 0)
+            all_on = (1,) * self.n_units
+            bound = max(self.rewards(all_on, hour, aints), default=-inf)
+            self._reward_bounds[hour] = bound
+        return bound
 
     def dispatch_cost(self, action, hour: int) -> float:
         return self.dispatch_cost_int(self._int_of(action), hour)

@@ -1,8 +1,8 @@
 """Finite-lookahead tree search over the commitment MDP.
 
-``find_best_action`` recursively scores every feasible action sequence up
-to a lookahead of H hours (cut off at the planning horizon) and returns
-the first action of a maximizing sequence.  ``tree_search_policy`` commits
+``find_best_action`` searches the feasible action sequences up to a
+lookahead of H hours (cut off at the planning horizon) and returns the
+first action of a maximizing sequence.  ``tree_search_policy`` commits
 that action hour by hour across the horizon.  The sub-sampled variant
 draws only a few candidate actions per node, biased toward small Hamming
 deviations from the previous hour's action, which is where low-cost
@@ -20,10 +20,24 @@ share one root choice, and commit hour by hour through
 cutoff, the root included, scores its candidates straight from the reward
 vector, minus ``BIG`` for each child with no feasible action, and keeps the
 first maximum (``_cutoff_best``).
+
+The exact search is a branch and bound.  Start-up prices are >= 0, so
+``UnitCommitmentMDP.reward_bound(h)``, the best minus dispatch cost over
+the actions that pass hour h's set limits, bounds every reward at hour h
+from any state; ``_tail_bound`` sums these bounds into one for a whole
+subtree.  A node walks its candidates in descending reward and stops at
+the first whose reward plus its children's bound falls below the best
+value so far, so the returned maximum, and the root's first-maximum
+choice, are those of full enumeration bit for bit.  The sub-sampled
+search prunes only among root candidates: each draws from its own RNG
+stream, created when it is expanded, so skipping one changes no other,
+while inner nodes share their root candidate's stream and keep every
+draw in order.  With ``threads > 1`` the root scores every candidate.
 """
 
 from concurrent import futures
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -83,7 +97,37 @@ def _at_cutoff(env: UnitCommitmentMDP, hour: int, depth: int) -> bool:
     return depth == 1 or hour + 1 == env.horizon
 
 
-def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor) -> float:
+def _tail_bound(env: UnitCommitmentMDP, hour: int, depth: int) -> float:
+    """Upper bound on the ``_search`` value of any node at ``hour`` with
+    ``depth`` steps left: per hour, -BIG or ``reward_bound`` plus the rest,
+    summed in the order ``_search`` sums its values."""
+    tail = 0.0
+    for h in reversed(range(hour, min(hour + depth, env.horizon))):
+        tail = max(-BIG, env.reward_bound(h) + tail)
+    return tail
+
+
+def _bounded_best(order, rewards, tail: float, score) -> tuple[int, float]:
+    """Index and value of the best ``score(k)`` over candidates ``order``.
+
+    Stops at the first candidate whose reward plus ``tail``, a bound on its
+    child's value, falls below the best value so far.  With ``order`` by
+    descending reward, no candidate after it can reach that value, so the
+    result is the full maximum.  Among equal values the lowest index wins.
+    """
+    best_k, best = -1, -inf
+    for k in order:
+        if rewards[k] + tail < best:
+            break
+        v = score(k)
+        if v > best or (v == best and k < best_k):
+            best_k, best = k, v
+    return best_k, best
+
+
+def _search(
+    env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor, prune: bool
+) -> float:
     """Best cumulative reward over ``depth`` more steps from (status, hour),
     over the candidates ``expand(status, hour, anchor)`` of each node.
 
@@ -91,20 +135,25 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, ancho
     Callers stop above the depth cutoff and the terminal hour: a node whose
     children are leaves scores them with ``_cutoff_best``.  Returns -BIG
     from a catastrophe state, including one a step past the cutoff, so any
-    feasible branch dominates.
+    feasible branch dominates.  With ``prune``, candidates go in descending
+    reward against the children's ``_tail_bound``; without it, every one
+    is scored in the order ``expand`` gave.
     """
     cands = expand(status, hour, anchor)
     if not cands:
         return -BIG
     if _at_cutoff(env, hour, depth):
         return _cutoff_best(env, status, hour, cands)[1]
-    best = -float("inf")
-    for aint, r in zip(cands, env.rewards(status, hour, cands)):
-        child = env._advance(status, env._bits_of(aint))
-        v = r + _search(env, child, hour + 1, depth - 1, expand, aint)
-        if v > best:
-            best = v
-    return best
+    rewards = env.rewards(status, hour, cands)
+
+    def score(k: int) -> float:
+        child = env._advance(status, env._bits_of(cands[k]))
+        return rewards[k] + _search(env, child, hour + 1, depth - 1, expand, cands[k], prune)
+
+    if not prune:
+        return _bounded_best(range(len(cands)), rewards, inf, score)[1]
+    order = sorted(range(len(cands)), key=rewards.__getitem__, reverse=True)
+    return _bounded_best(order, rewards, _tail_bound(env, hour + 1, depth - 1), score)[1]
 
 
 # ``benchmark/spans.py`` patches ``_search_sub`` by name, so the name stays
@@ -113,14 +162,19 @@ _search_sub = _search
 
 
 def _best_root(
-    env: UnitCommitmentMDP, state: SystemState, aints, depth: int, expand_for, threads: int
+    env: UnitCommitmentMDP, state: SystemState, aints, depth: int, expand_for, threads: int,
+    prune: bool,
 ):
     """Index and value of the best root candidate: its reward plus the
-    ``_search`` value of its child, which expands with ``expand_for(index)``,
-    or ``_cutoff_best`` when the children are leaves.
+    ``_search`` value of its child, which expands with ``expand_for(index)``
+    and prunes with ``prune``, or ``_cutoff_best`` when the children are
+    leaves.
 
-    Candidates ascend, so taking the first maximum breaks ties toward the
-    lexicographically smallest action.
+    Candidates go in descending reward against the children's
+    ``_tail_bound`` (``_bounded_best``).  They ascend by index, so taking
+    the lowest index among equal values breaks ties toward the
+    lexicographically smallest action.  With ``threads > 1`` every
+    candidate is scored.
     """
     if _at_cutoff(env, state.hour, depth):
         return _cutoff_best(env, state.status, state.hour, aints)
@@ -129,16 +183,16 @@ def _best_root(
     def score(k: int) -> float:
         child = env._advance(state.status, env._bits_of(aints[k]))
         return rewards[k] + _search(
-            env, child, state.hour + 1, depth - 1, expand_for(k), aints[k]
+            env, child, state.hour + 1, depth - 1, expand_for(k), aints[k], prune
         )
 
     if threads > 1 and len(aints) > 1:
         with futures.ThreadPoolExecutor(max_workers=threads) as pool:
             values = list(pool.map(score, range(len(aints))))
-    else:
-        values = [score(k) for k in range(len(aints))]
-    best = max(range(len(values)), key=values.__getitem__)
-    return best, values[best]
+        best = max(range(len(values)), key=values.__getitem__)
+        return best, values[best]
+    order = sorted(range(len(aints)), key=rewards.__getitem__, reverse=True)
+    return _bounded_best(order, rewards, _tail_bound(env, state.hour + 1, depth - 1), score)
 
 
 def find_best_action(
@@ -156,7 +210,7 @@ def find_best_action(
     def expand(status, hour, _anchor):
         return env._feasible_ints(status, hour)
 
-    k, value = _best_root(env, state, cands, lookahead, lambda _k: expand, threads)
+    k, value = _best_root(env, state, cands, lookahead, lambda _k: expand, threads, True)
     return env._bits_of(cands[k]), value
 
 
@@ -237,7 +291,7 @@ def subsampled_tree_search(
 
             return expand
 
-        k, value = _best_root(env, state, cands, depth, expand_for, config.threads)
+        k, value = _best_root(env, state, cands, depth, expand_for, config.threads, False)
         return env._bits_of(cands[k]), value
 
     return env.rollout(s0, choose)

@@ -131,6 +131,8 @@ class TestValidateInstance:
             ({"t_up": 2.5}, 50.0, 0.0, "generators[0].t_up", "whole number"),
             ({"initial_status": 3.0}, 50.0, 0.0, "generators[0].initial_status",
              "whole number"),
+            ({"e": -1.0}, 50.0, 0.0, "generators[0].e", "e >= 0"),
+            ({"f": -0.5}, 50.0, 0.0, "generators[0].f", "f >= 0"),
         ],
     )
     def test_non_finite_and_fractional_numbers(self, gen, demand, reserve, field, rule):

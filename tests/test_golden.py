@@ -4,12 +4,13 @@ The small-instance digests were recorded before the reward kernel was
 unified, the bundled-instance tree ones before dispatch was batched (the
 two deepest, ``n8_t24`` at H=4 and ``n12_t24`` at H=3, before the tree
 searches pruned against a reward bound), and the bundled-instance
-tree-sub ones before the two search recursions were merged.  Each digest covers a solver's emitted ``schedule.csv`` text plus
-the ``repr`` of its per-hour step values, so a change in the last bit of
-any value the search reports fails here.  The small solver instance has a
-multi-start-up hour in all three plans; the oracle instance starts both
-units off, and its optimum starts both in hour 0.  Never re-record these
-to make a refactor pass: a mismatch is a behaviour change.
+tree-sub ones before the two search recursions were merged.  Each digest
+covers a solver's emitted ``schedule.csv`` text plus the ``repr`` of its
+per-hour step values, so a change in the last bit of any value the search
+reports fails here.  The small solver instance has a multi-start-up hour
+in all three plans; the oracle instance starts both units off, and its
+optimum starts both in hour 0.  Never re-record these to make a refactor
+pass: a mismatch is a behaviour change.
 """
 
 import hashlib

@@ -374,6 +374,7 @@ class TestCli:
             ("gen", ["-T", "0"]),
             ("gen", ["--seed", "-1"]),
             ("tree", ["-i", "latin1.json"]),
+            ("tree", ["-i", "negative_e.json"]),
             ("verify", ["-i", "latin1.json"]),
             ("report", ["truncated"]),
             ("report", ["partial"]),
@@ -385,13 +386,17 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, algo, bad
     ):
         """``algo`` "gen" checks ``uc gen -N 1 -T 6`` instead of a solve,
-        "verify" ``uc verify`` and "report" ``uc report -o out``; the run
+        "verify" ``uc verify`` and "report" ``uc report -o out``;
+        negative_e.json gives unit 0 a negative start-up price; the run
         directory "truncated" holds a summary.json of ``{``, "partial" one
         without ``objective_usd``, and "unscheduled" a valid summary next to
         a schedule.csv without ``power_mw``."""
         monkeypatch.chdir(tmp_path)
         save_instance(gen_instance(3, 6, 1), tmp_path / "tiny.json")
         (tmp_path / "latin1.json").write_bytes('{"horizon": 6, "name": "Sälen"}'.encode("latin-1"))
+        data = instance_to_dict(gen_instance(3, 6, 1))
+        data["generators"][0]["e"] = -1.0
+        (tmp_path / "negative_e.json").write_text(json.dumps(data))
         partial = {"algorithm": "tree", "runtime_s": 1.0}
         for name, text in (
             ("truncated", "{"),

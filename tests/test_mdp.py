@@ -256,6 +256,20 @@ class TestReward:
         restarted = env.reward(SystemState((-1, 2), 0), (1, 1))
         assert restarted == pytest.approx(-50.0 - 150.0, abs=1e-6)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 10**6), st.data())
+    def test_reward_bound_is_above_every_reward(self, n, seed, data):
+        # every action that passes the set limits, from any status: a
+        # superset of what any search scores at that hour
+        env = UnitCommitmentMDP(gen_instance(n, 6, seed))
+        hour = data.draw(st.integers(0, env.horizon - 1))
+        signed = st.integers(-24, 24).filter(bool)
+        status = tuple(data.draw(st.lists(signed, min_size=n, max_size=n)))
+        aints = env._feasible_for_locks(hour, 0, 0)
+        bound = env.reward_bound(hour)
+        assert all(r <= bound for r in env.rewards(status, hour, aints))
+        assert (bound == -math.inf) == (not aints)
+
 
 class TestCatastrophe:
     def test_terminal_state_is_not_catastrophe(self):

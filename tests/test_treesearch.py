@@ -1,11 +1,13 @@
 import math
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ucplan import (
     NoFeasibleActionError,
+    ProblemInstance,
     SearchConfig,
     SubsampleConfig,
     SystemState,
@@ -206,8 +208,12 @@ class TestCutoffMax:
         return seen
 
     def test_every_cutoff_node_of_the_bundled_n8_search(self, monkeypatch):
+        # branch and bound leaves a few hundred cutoff nodes at H=3; H=4
+        # brings the count back above a thousand
         env = UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json"))
-        assert len(self.checked_cutoffs(monkeypatch, env, 3)) > 1000
+        self.checked_cutoffs(monkeypatch, env, 3)
+        env = UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json"))
+        assert len(self.checked_cutoffs(monkeypatch, env, 4)) > 1000
         env = UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json"))
         assert len(self.checked_cutoffs(monkeypatch, env, 1)) == env.horizon
 
@@ -295,6 +301,142 @@ class TestCutoffMax:
         assert not any(dead(aints[k]) for k in tied)
         best, value = self.check(env, status, 0, aints)
         assert (best, value) == (tied[0], rewards[tied[0]])
+
+
+def plain_search(env, status, hour, depth):
+    """Index and value of the first best candidate over every feasible
+    sequence of ``depth`` more steps, scored in full: the definition the
+    pruned search must reproduce."""
+    cands = env._feasible_ints(status, hour)
+    if not cands:
+        return None, -BIG
+    if depth == 1 or hour + 1 == env.horizon:
+        return cutoff_reference(env, status, hour, cands)
+    values = [
+        r + plain_search(env, env._advance(status, env._bits_of(a)), hour + 1, depth - 1)[1]
+        for a, r in zip(cands, env.rewards(status, hour, cands))
+    ]
+    best = max(range(len(values)), key=values.__getitem__)
+    return best, values[best]
+
+
+def reachable_states(env, count, seed):
+    """``count`` non-catastrophe states met on random feasible walks from
+    hour 0, each walk stopping at a random hour."""
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < count:
+        state = env.initial_state()
+        stop = int(rng.integers(env.horizon))
+        while state.hour < stop and not env.is_catastrophe(state):
+            feas = env._feasible_ints(state.status, state.hour)
+            action = env._bits_of(feas[rng.integers(len(feas))])
+            state = env.transition(state, action)
+        if not env.is_catastrophe(state):
+            states.append(state)
+    return states
+
+
+class TestBranchAndBound:
+    """The pruned searches against the full ones they stand in for."""
+
+    @staticmethod
+    def check(env, state, lookahead):
+        want_k, want = plain_search(env, state.status, state.hour, lookahead)
+        action, value = find_best_action(state, lookahead, env)
+        cands = env._feasible_ints(state.status, state.hour)
+        assert (env._int_of(action), repr(value)) == (cands[want_k], repr(want))
+
+    @pytest.mark.parametrize(
+        "name, lookahead, count",
+        [("n8_t24", 2, 8), ("n8_t24", 3, 6), ("n8_t24", 4, 3), ("n12_t24", 2, 2)],
+    )
+    def test_exact_search_equals_the_plain_recursion(self, name, lookahead, count):
+        env = UnitCommitmentMDP(load_instance(INSTANCES / f"{name}.json"))
+        for state in reachable_states(env, count, seed=lookahead):
+            self.check(env, state, lookahead)
+
+    def test_exact_search_equals_the_plain_recursion_next_to_a_dead_end(self):
+        # gen_instance(3, 4, 1) has a dead end one hour out
+        env = UnitCommitmentMDP(gen_instance(3, 4, 1))
+        for lookahead in (1, 2, 3, 4):
+            for state in reachable_states(env, 10, seed=lookahead):
+                self.check(env, state, lookahead)
+
+    def test_ties_go_to_the_lowest_action(self):
+        # unit 2 is unit 0's twin, so every sequence that commits one and
+        # not the other ties with its mirror image
+        base = gen_instance(2, 6, 1)
+        twin = replace(base.generators[0], id=2)
+        env = UnitCommitmentMDP(ProblemInstance((*base.generators, twin), base.profile))
+        for lookahead in (2, 3):
+            for state in reachable_states(env, 6, seed=lookahead):
+                self.check(env, state, lookahead)
+
+    @pytest.mark.parametrize("lookahead", [2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e10])
+    def test_dead_ends_that_outscore_live_branches(self, scale, lookahead):
+        # unit 1 alone has the best reward at hour 0; starting unit 0 costs
+        # more and, as it then stays on, leaves hour 1's 30 MW below its
+        # minimum output.  Scaled by 1e10, any live hour costs more than
+        # BIG, so the dead branch wins, and the bound of a child must be
+        # no lower than the -BIG it can return.
+        gens = [
+            make_gen(id=0, b=60.0, p_min=60.0, p_max=100.0, t_up=3, initial_status=-5),
+            make_gen(id=1, b=50.0, p_min=5.0, p_max=100.0),
+        ]
+        env = UnitCommitmentMDP(make_instance(gens, demand=[80.0, 30.0, 30.0]))
+        rewards_of = env.rewards
+        env.rewards = lambda *args: [scale * r for r in rewards_of(*args)]
+        self.check(env, env.initial_state(), lookahead)
+        action, _ = find_best_action(env.initial_state(), lookahead, env)
+        assert action == ((1, 1) if scale > 1 else (0, 1))
+
+    def test_a_near_tie_behind_a_tight_bound(self):
+        # dropping unit 1 now saves its $100 fixed cost, but hour 1 needs
+        # it back at a $100.50 start-up; keeping both on wins by $0.50, and
+        # its hour 1 costs exactly the bound, so nothing looser than the
+        # strict comparison keeps it
+        gens = [
+            make_gen(id=0, a=0.0, b=10.0, c=0.0, p_min=0.0, p_max=100.0,
+                     t_up=1, t_down=1, initial_status=5),
+            make_gen(id=1, a=0.0, b=20.0, c=100.0, e=100.5, f=0.0, g=0.0, h=0.0,
+                     p_min=0.0, p_max=100.0, t_up=1, t_down=1, initial_status=5),
+        ]
+        env = UnitCommitmentMDP(make_instance(gens, demand=[50.0, 150.0]))
+        self.check(env, env.initial_state(), 2)
+        assert find_best_action(env.initial_state(), 2, env) == ((1, 1), -2700.0)
+
+    def test_pruning_skips_most_nodes_of_the_bundled_n8_search(self, monkeypatch):
+        calls = []
+        search = treesearch._search
+
+        def counted(*args):
+            calls.append(args[2])
+            return search(*args)
+
+        monkeypatch.setattr(treesearch, "_search", counted)
+        inst = load_instance(INSTANCES / "n8_t24.json")
+        env = UnitCommitmentMDP(inst)
+        pruned = find_best_action(env.initial_state(), 3, env)
+        n_pruned = len(calls)
+        env = UnitCommitmentMDP(inst)
+        monkeypatch.setattr(env, "reward_bound", lambda hour: math.inf)
+        calls.clear()
+        assert find_best_action(env.initial_state(), 3, env) == pruned
+        assert 0 < 10 * n_pruned < len(calls)
+
+    @pytest.mark.parametrize("lookahead", [2, 3])
+    def test_tree_sub_root_pruning_keeps_the_plan(self, monkeypatch, lookahead):
+        inst = load_instance(INSTANCES / "n8_t24.json")
+        config = SearchConfig(lookahead, SubsampleConfig(64, 0.5))
+        env = UnitCommitmentMDP(inst)
+        pruned = subsampled_tree_search(env.initial_state(), config, env)
+        env = UnitCommitmentMDP(inst)
+        monkeypatch.setattr(env, "reward_bound", lambda hour: math.inf)
+        full = subsampled_tree_search(env.initial_state(), config, env)
+        assert pruned.actions == full.actions
+        assert repr(pruned.step_values) == repr(full.step_values)
 
 
 def all_free_env():
