@@ -8,9 +8,12 @@ that price clipped to its box.  Linear-cost units (a == 0) respond as a
 step function and are filled in merit order of b, ties by generator id.
 
 ``economic_dispatch`` is the scalar reference.  ``dispatch_costs`` runs the
-same bisection for many committed sets at once on numpy vectors and returns
-costs equal to the scalar ones bit for bit.  ``kkt_violation`` certifies a
-returned dispatch against the optimality conditions.
+same bisection and the same balance polish for many committed sets at once
+on numpy blocks and returns costs equal to the scalar ones bit for bit: its
+fsums go through ``row_fsum``, a row-wise sum built from error-free
+transformations that certifies where it equals ``math.fsum``.
+``kkt_violation`` certifies a returned dispatch against the optimality
+conditions.
 """
 
 from dataclasses import dataclass
@@ -22,8 +25,9 @@ from .core import GeneratorSpec, generation_cost
 from .errors import InfeasibleDispatchError
 
 _MAX_BISECT = 200
-# an np.sum over at most N terms of a committed set differs from fsum by at
-# most (N + 1) * 2**-53 of the set's capacity; this bound holds while N < 9000
+# a float sum over at most N terms of a committed set, in any order of
+# summation, differs from fsum by at most (N + 1) * 2**-53 of the set's
+# capacity; this bound holds while N < 9000
 _SUM_MARGIN = 1e-12
 
 
@@ -239,26 +243,134 @@ def _total_cost(powers, committed) -> float:
     return fsum(generation_cost(g, p) for g, p in zip(committed, powers))
 
 
+def _two_sum(x, y):
+    """``x + y`` rounded and its exact rounding error (Knuth's TwoSum)."""
+    s = x + y
+    t = s - x
+    return s, (x - (s - t)) + (y - t)
+
+
+def row_fsum(terms):
+    """``math.fsum`` of each column of ``terms``, and where it is certified.
+
+    ``terms`` is a units x rows block, summed down each column.  The running
+    sum ``s`` and its accumulated rounding error ``c`` go through TwoSum
+    column by column (Ogita, Rump & Oishi, 2005); a second TwoSum on ``c``
+    records what ``c`` itself loses.  When it loses nothing, ``s + c`` is the
+    exact sum and ``fl(s + c)`` is fsum's correctly rounded result, ties to
+    even included.  Otherwise the result stands only when the lost part,
+    bounded at twice its float sum, keeps the exact sum strictly inside the
+    result's rounding interval, away from any tie.  Columns that are not
+    finite or sum to zero (where fsum picks the sign of the zero) are never
+    certified.
+    """
+    cols = terms.shape[1]
+    s = np.zeros(cols)
+    c = np.zeros(cols)
+    lost = np.zeros(cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in terms:
+            s, e = _two_sum(s, x)
+            c, e = _two_sum(c, e)
+            lost += np.abs(e)
+        total, d = _two_sum(s, c)
+        half_gap = np.spacing(np.abs(total)) / 4  # the smaller half-gap at a binade edge
+        ok = (lost == 0) | (np.abs(d) + 2 * lost < half_gap)
+        ok &= np.isfinite(total) & (total != 0)
+    return total, ok
+
+
+def _finish(lam, on, demand, a, b, c, p_min, p_max):
+    """Costs of converged rows as ``_response``, ``_polish_balance`` and
+    ``_total_cost`` give them, computed on a units x rows block.
+
+    ``lam`` holds each row's converged price and ``on`` its committed units,
+    one column per row.  Sums run as the scalar code runs them: every fsum
+    through ``row_fsum`` and ``wsum`` unit by unit, left to right.  Returns
+    the costs and a mask of the rows whose every fsum is certified and whose
+    powers pass ``generation_cost``'s bounds check; the others must be
+    solved by ``economic_dispatch``.
+    """
+    a, b, c, p_min, p_max = (v[:, None] for v in (a, b, c, p_min, p_max))
+    quad = a > 0
+    two_a = np.where(quad, 2.0 * a, 1.0)  # 1.0 keeps linear units out of 1/(2a)
+    lo_in = p_min + 1e-9 * p_max
+    hi_in = p_max - 1e-9 * p_max
+
+    def interior(p):
+        return on & quad & (lo_in < p) & (p < hi_in)
+
+    p = lam - b
+    p /= two_a
+    np.maximum(p, p_min, out=p)
+    np.minimum(p, p_max, out=p)
+    for j in np.flatnonzero(~quad):
+        p[j] = np.where(lam > b[j], p_max[j], p_min[j])
+    p *= on
+
+    total, ok = row_fsum(p)
+    resid = demand - total
+    inner = interior(p)
+    shift = (resid != 0.0) & (np.count_nonzero(inner, axis=0) > 1)
+    if shift.any():
+        # equal-incremental-cost shift of the interior units
+        wsum = np.zeros(len(lam))
+        for w, unit_inner in zip(1.0 / two_a[:, 0], inner):
+            wsum += np.where(unit_inner, w, 0.0)
+        moved = resid / np.where(shift, wsum, 1.0) / two_a
+        moved += p
+        np.maximum(moved, p_min, out=moved)
+        np.minimum(moved, p_max, out=moved)
+        np.copyto(p, moved, where=inner & shift)
+        total, ok_after = row_fsum(p)
+        ok &= ok_after | ~shift
+        resid = np.where(shift, demand - total, resid)
+        inner = interior(p)
+    last = np.flatnonzero((resid != 0.0) & inner.any(axis=0))
+    if last.size:
+        # the sub-ulp remainder goes to the first unit with the most headroom
+        head = p_max - p
+        np.minimum(head, p - p_min, out=head)
+        head[~inner] = -np.inf
+        k = head[:, last].argmax(axis=0)
+        lo, hi = p_min[k, 0], p_max[k, 0]
+        p[k, last] = np.minimum(np.maximum(p[k, last] + resid[last], lo), hi)
+
+    slack = 1e-9 * np.maximum(1.0, p_max)
+    ok &= ((p_min - slack <= p) & (p <= p_max + slack) | ~on).all(axis=0)
+    term = a * p
+    term *= p
+    term += b * p
+    term += c
+    term *= on
+    cost, ok_cost = row_fsum(term)
+    return cost, ok & ok_cost
+
+
 def dispatch_costs(bits, demand: float, gens) -> list[float]:
     """``economic_dispatch(row, demand, gens).cost`` for every row of ``bits``.
 
     Runs the scalar solver's bracket, expansion, midpoints and stopping
-    rule for all rows at once on numpy vectors.  ``np.sum`` stands in for
+    rule for all rows at once on numpy vectors.  Plain sums stand in for
     ``fsum`` only where the two cannot decide differently: a row whose
     residual lies within ``_SUM_MARGIN`` of a decision threshold goes to
     ``economic_dispatch``, and so do empty or infeasible sets, rows whose
     bracket collapses on a linear unit's price step (the scalar solver's
-    fallback) and rows still open after ``_MAX_BISECT`` steps.  A converged
-    row finishes as the scalar solver does, with ``_response``,
-    ``_polish_balance`` and the fsum cost, so every cost is bit-identical.
+    fallback) and rows still open after ``_MAX_BISECT`` steps.  Converged
+    rows finish together in ``_finish``, which repeats the scalar finish
+    operation for operation with certified fsums; a row it cannot certify
+    goes to ``economic_dispatch`` too, so every cost (or error) is the
+    scalar one.
     """
     gens = list(gens)
     if len(bits) == 0:
         return []
     on = np.asarray(bits, dtype=bool)
-    a, b, p_min, p_max = np.array([(g.a, g.b, g.p_min, g.p_max) for g in gens]).T.copy()
-    linear = a == 0
+    on_f = on.astype(float)
+    a, b, c, p_min, p_max = np.array([(g.a, g.b, g.c, g.p_min, g.p_max) for g in gens]).T.copy()
+    linear = ~(a > 0)
     two_a = np.where(linear, 1.0, 2.0 * a)
+    step_units = np.flatnonzero(linear)
 
     def surplus(lam, on_rows):
         """Committed output at each row's price minus demand."""
@@ -267,24 +379,20 @@ def dispatch_costs(bits, demand: float, gens) -> list[float]:
         p /= two_a
         np.maximum(p, p_min, out=p)
         np.minimum(p, p_max, out=p)
-        if linear.any():
-            p = np.where(linear, np.where(lam > b, p_max, p_min), p)
-        return p.sum(axis=1, where=on_rows) - demand
+        for j in step_units:
+            p[:, j] = np.where(lam[:, 0] > b[j], p_max[j], p_min[j])
+        return np.einsum("ij,ij->i", p, on_rows) - demand
 
-    def over_committed(ufunc, values, initial):
-        """``ufunc`` reduced over each row's committed units."""
-        return ufunc.reduce(np.broadcast_to(values, on.shape), axis=1, where=on, initial=initial)
-
-    lo_cap = over_committed(np.add, p_min, 0.0)
-    hi_cap = over_committed(np.add, p_max, 0.0)
+    lo_cap = np.einsum("ij,j->i", on_f, p_min)
+    hi_cap = np.einsum("ij,j->i", on_f, p_max)
     margin = _SUM_MARGIN * np.maximum(hi_cap, demand)
     scalar = ~on.any(axis=1) | (lo_cap > demand - margin) | (hi_cap < demand + margin)
 
-    lam_lo = over_committed(np.minimum, b, np.inf)
-    lam_hi = over_committed(np.maximum, 2.0 * a * p_max + b, -np.inf)
+    lam_lo = np.where(on, b, np.inf).min(axis=1)
+    lam_hi = np.where(on, 2.0 * a * p_max + b, -np.inf).max(axis=1)
     grow = np.flatnonzero(~scalar)
     while grow.size:
-        short = surplus(lam_hi[grow], on[grow])
+        short = surplus(lam_hi[grow], on_f[grow])
         unsure = np.abs(short) <= margin[grow]
         scalar[grow[unsure]] = True
         grow = grow[~unsure & (short < 0)]
@@ -292,7 +400,7 @@ def dispatch_costs(bits, demand: float, gens) -> list[float]:
 
     tol = 1e-9 * max(demand, 1e-9)
     rows = np.flatnonzero(~scalar)
-    lo, hi, on_rows, near = lam_lo[rows], lam_hi[rows], on[rows], margin[rows]
+    lo, hi, on_rows, near = lam_lo[rows], lam_hi[rows], on_f[rows], margin[rows]
     done = np.zeros(len(on), dtype=bool)
     lam_done = np.empty(len(on))
     for _ in range(_MAX_BISECT):
@@ -317,13 +425,12 @@ def dispatch_costs(bits, demand: float, gens) -> list[float]:
         lo = np.where(over, lo, lam)
     scalar[rows] = True
 
-    costs = [0.0] * len(on)
-    for r in np.flatnonzero(done).tolist():
-        lam = float(lam_done[r])
-        units = [g for g, bit in zip(gens, on[r].tolist()) if bit]
-        powers = _response(lam, units)
-        _polish_balance(powers, lam, demand, units)
-        costs[r] = _total_cost(powers, units)
+    finished = np.flatnonzero(done)
+    cost, ok = _finish(lam_done[finished], on[finished].T, demand, a, b, c, p_min, p_max)
+    scalar[finished[~ok]] = True
+    costs = np.zeros(len(on))
+    costs[finished] = cost
+    costs = costs.tolist()
     for r in np.flatnonzero(scalar).tolist():
         costs[r] = economic_dispatch(on[r].tolist(), demand, gens).cost
     return costs

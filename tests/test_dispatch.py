@@ -3,11 +3,12 @@ from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ucplan import (
     InfeasibleDispatchError,
+    OutOfBoundsError,
     check_set_limits,
     dispatch_costs,
     economic_dispatch,
@@ -16,6 +17,8 @@ from ucplan import (
     kkt_violation,
     load_instance,
 )
+from ucplan import dispatch
+from ucplan.dispatch import row_fsum
 
 from conftest import INSTANCES, make_gen
 
@@ -263,3 +266,127 @@ class TestBatchedDispatch:
         assert dispatch_costs([(0, 0)], 0.0, gens) == [0.0]
         with pytest.raises(InfeasibleDispatchError):
             dispatch_costs([(1, 1), (1, 0)], 150.0, gens)
+
+
+def bit_equal(x, y):
+    return float(x).hex() == float(y).hex()
+
+
+# a coarse binary grid: exponents far apart give sums that land on exact ties
+grid_values = st.builds(lambda m, e: m * 2.0**e, st.integers(-64, 64), st.integers(-80, 80))
+column_values = (
+    grid_values
+    | st.floats(-1e30, 1e30)
+    | st.floats(-1.0, 1.0)
+    | st.sampled_from([0.0, -0.0])
+)
+
+
+@st.composite
+def columns(draw):
+    """A few columns of one length; some cancel their own entries."""
+    length = draw(st.integers(1, 16))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        col = draw(st.lists(column_values, min_size=length, max_size=length))
+        for k in draw(st.lists(st.integers(0, length - 1), max_size=length)):
+            col[k] = -col[length - 1 - k]
+        out.append(col)
+    return out
+
+
+TIE_ROW = [235.45309706198904, 81.51675127147462, 270.59890759161095, 152.483129559832, 349.81499943233143]
+
+
+class TestRowFsum:
+    """``row_fsum`` must equal ``math.fsum`` on every column it certifies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cols=columns())
+    # the running error lands exactly on half an ulp: round half to even
+    @example(cols=[TIE_ROW])
+    # the error term loses 2**-53, which with 2**-200 decides the rounding
+    @example(cols=[[2.0**100, 1.0, 2.0**-53, -(2.0**100), 2.0**-200]])
+    def test_certified_columns_equal_fsum(self, cols):
+        total, ok = row_fsum(np.array(cols).T)
+        for col, value, certified in zip(cols, total.tolist(), ok.tolist()):
+            if certified:
+                assert bit_equal(value, fsum(col))
+
+    def test_ties_and_typical_rows_are_certified(self):
+        # a tie must be settled, not sent to the scalar solver
+        total, ok = row_fsum(np.array([TIE_ROW]).T)
+        assert ok.all() and bit_equal(total[0], fsum(TIE_ROW))
+        rows = np.random.default_rng(3).uniform(0.0, 500.0, size=(12, 2000))
+        total, ok = row_fsum(rows)
+        assert ok.all()
+        assert all(bit_equal(t, fsum(col)) for t, col in zip(total.tolist(), rows.T.tolist()))
+
+    def test_zero_and_non_finite_sums_are_not_certified(self):
+        cols = np.array([[1.0, -1.0], [0.0, -0.0], [1e308, 1e308], [np.inf, 1.0]]).T
+        assert not row_fsum(cols)[1].any()
+
+
+class TestBatchedFinish:
+    """Converged rows finish in numpy; only uncertain rows reach the scalar solver."""
+
+    @staticmethod
+    def scalar_calls(monkeypatch):
+        calls = []
+        scalar = dispatch.economic_dispatch
+
+        def counted(*args):
+            calls.append(args[0])
+            return scalar(*args)
+
+        monkeypatch.setattr(dispatch, "economic_dispatch", counted)
+        return calls
+
+    # the rows the bisection itself hands over: price steps and margin cases
+    @pytest.mark.parametrize("name, handed_over", [("n8_t24", 6), ("n12_t24", 81)])
+    def test_every_converged_row_of_the_bundled_instances_finishes_in_numpy(
+        self, name, handed_over, monkeypatch
+    ):
+        inst = load_instance(INSTANCES / f"{name}.json")
+        gens = inst.generators
+        actions = list(itertools.product((0, 1), repeat=inst.n_units))
+        calls = self.scalar_calls(monkeypatch)
+        for demand, reserve in zip(inst.profile.demand, inst.profile.reserve):
+            rows = [row for row in actions if check_set_limits(row, demand, reserve, gens)]
+            dispatch_costs(rows, demand, gens)
+        assert len(calls) == handed_over
+
+    def test_linear_unit_in_a_row_that_shifts_the_interior_units(self, monkeypatch):
+        # unit 0 is linear and at p_max; the three quadratic units are
+        # interior and take the equal-incremental-cost shift
+        gens = [
+            make_gen(id=0, a=0.0, b=11.0, c=100.0, p_min=0.0, p_max=50.0),
+            make_gen(id=1, a=0.03, b=12.0, c=10.0, p_min=10.0, p_max=110.0),
+            make_gen(id=2, a=0.03, b=12.0, c=70.0, p_min=5.0, p_max=45.0),
+            make_gen(id=3, a=0.03, b=10.0, c=80.0, p_min=5.0, p_max=75.0),
+        ]
+        expected = scalar_costs([(1, 1, 1, 1)], 130.0, gens)
+        calls = self.scalar_calls(monkeypatch)
+        assert dispatch_costs([(1, 1, 1, 1)], 130.0, gens) == expected
+        assert calls == []
+
+    def test_remainder_goes_to_the_first_of_the_units_with_most_headroom(self, monkeypatch):
+        # twin units 0 and 1 share a, b and box, so they tie on headroom;
+        # their no-load costs c differ, so the pick shows in the cost
+        gens = [
+            make_gen(id=0, a=0.01, b=10.0, c=117.0, p_min=20.0, p_max=200.0),
+            make_gen(id=1, a=0.01, b=10.0, c=295.0, p_min=20.0, p_max=200.0),
+            make_gen(id=2, a=0.02, b=9.0, c=55.0, p_min=30.0, p_max=60.0),
+        ]
+        expected = scalar_costs([(1, 1, 1)], 118.7, gens)
+        calls = self.scalar_calls(monkeypatch)
+        assert dispatch_costs([(1, 1, 1)], 118.7, gens) == expected
+        assert calls == []
+
+    def test_out_of_bounds_row_raises_as_the_scalar_solver(self):
+        # p_max below p_min: the price response clips to p_max, outside the box
+        gens = [make_gen(id=0, p_min=10.0, p_max=100.0), make_gen(id=1, p_min=50.0, p_max=40.0)]
+        with pytest.raises(OutOfBoundsError):
+            economic_dispatch((1, 1), 80.0, gens)
+        with pytest.raises(OutOfBoundsError):
+            dispatch_costs([(1, 1)], 80.0, gens)
