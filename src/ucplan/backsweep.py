@@ -161,9 +161,8 @@ def _score_actions(env: UnitCommitmentMDP, state: SystemState, nxt: ValueSlice):
         return acts, None
     n = env.n_units
     bits = (np.array(acts)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    st = np.array(state.status)
-    off = np.where(st < 0, np.maximum(st - 1, -STATUS_CAP), -1)
-    on = np.where(st > 0, np.minimum(st + 1, STATUS_CAP), 1)
+    off = np.array(env._advance(state.status, (0,) * n))
+    on = np.array(env._advance(state.status, (1,) * n))
     table, vals = nxt.arrays()
     d_off, d_on = table[np.arange(n), _clip(np.array([off, on]), nxt.caps) + nxt.caps.max()]
     dist = d_off.sum(axis=0) + bits.astype(float) @ (d_on - d_off)

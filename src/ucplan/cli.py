@@ -35,7 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--rho", type=float, default=0.5, help="sampling decay")
     solve.add_argument("--ns", type=int, default=50, help="states sampled per hour")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--threads", type=int, default=1)
+    # benchmark/run.py passes ``--threads 1`` on every solve, and is the only
+    # reason this flag exists; it goes when the benchmark stops passing it
+    # (ROADMAP item 1(a)).  Every other value is refused.
+    solve.add_argument("--threads", type=int, default=1, help="must be 1")
     solve.add_argument(
         "--warm-start", default="tree:H=1", help="back sweep anchor, e.g. tree:H=1"
     )
@@ -64,10 +67,11 @@ def _cmd_gen(args) -> int:
 
 
 def _check_solve_args(args) -> None:
-    for flag, value in (("-H", args.H), ("-K", args.K), ("--ns", args.ns),
-                        ("--threads", args.threads)):
+    for flag, value in (("-H", args.H), ("-K", args.K), ("--ns", args.ns)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    if args.threads != 1:
+        raise UsageError(f"--threads must be 1, got {args.threads}")
     if not 0.0 < args.rho < 1.0:
         raise UsageError(f"--rho must lie in (0, 1), got {args.rho}")
     if args.seed < 0:
@@ -89,7 +93,6 @@ def _cmd_solve(args) -> int:
         rho=args.rho,
         n_samples=args.ns,
         seed=args.seed,
-        threads=args.threads,
         warm_start=args.warm_start,
     )
     report.config["instance"] = str(args.instance)

@@ -45,41 +45,15 @@ from .treesearch import (
     tree_search_policy,
 )
 
-_GEN_KEYS = (
-    "id", "a", "b", "c", "e", "f", "g", "h",
-    "p_min_mw", "p_max_mw", "t_up_h", "t_down_h", "initial_status_h",
-)
-
 ALGORITHMS = ("tree", "tree-sub", "backsweep", "api")
+
+# settings of the API baseline that no caller varies; its summary still
+# records them
+API_ALPHA = 0.01
+API_EPSILON = 0.1
 
 
 # -- instance files -------------------------------------------------------
-
-def instance_to_dict(instance: ProblemInstance) -> dict:
-    return {
-        "horizon": instance.horizon,
-        "demand_mw": list(instance.profile.demand),
-        "reserve_mw": list(instance.profile.reserve),
-        "generators": [
-            {
-                "id": g.id,
-                "a": g.a,
-                "b": g.b,
-                "c": g.c,
-                "e": g.e,
-                "f": g.f,
-                "g": g.g,
-                "h": g.h,
-                "p_min_mw": g.p_min,
-                "p_max_mw": g.p_max,
-                "t_up_h": g.t_up,
-                "t_down_h": g.t_down,
-                "initial_status_h": g.initial_status,
-            }
-            for g in instance.generators
-        ],
-    }
-
 
 def _count(value):
     """A whole-number field as int; a fractional or non-finite float is kept
@@ -89,6 +63,36 @@ def _count(value):
     return int(value)
 
 
+# one generator entry: (JSON key, GeneratorSpec field, reader), in file order
+_GEN_FIELDS = (
+    ("id", "id", _count),
+    ("a", "a", float),
+    ("b", "b", float),
+    ("c", "c", float),
+    ("e", "e", float),
+    ("f", "f", float),
+    ("g", "g", float),
+    ("h", "h", float),
+    ("p_min_mw", "p_min", float),
+    ("p_max_mw", "p_max", float),
+    ("t_up_h", "t_up", _count),
+    ("t_down_h", "t_down", _count),
+    ("initial_status_h", "initial_status", _count),
+)
+
+
+def instance_to_dict(instance: ProblemInstance) -> dict:
+    return {
+        "horizon": instance.horizon,
+        "demand_mw": list(instance.profile.demand),
+        "reserve_mw": list(instance.profile.reserve),
+        "generators": [
+            {key: getattr(g, field) for key, field, _ in _GEN_FIELDS}
+            for g in instance.generators
+        ],
+    }
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
     try:
         horizon = _count(data["horizon"])
@@ -96,25 +100,11 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         reserve = tuple(float(x) for x in data["reserve_mw"])
         gens = []
         for row in data["generators"]:
-            missing = [k for k in _GEN_KEYS if k not in row]
+            missing = [key for key, _, _ in _GEN_FIELDS if key not in row]
             if missing:
                 raise InstanceParseError(f"generator entry missing fields {missing}")
             gens.append(
-                GeneratorSpec(
-                    id=_count(row["id"]),
-                    a=float(row["a"]),
-                    b=float(row["b"]),
-                    c=float(row["c"]),
-                    e=float(row["e"]),
-                    f=float(row["f"]),
-                    g=float(row["g"]),
-                    h=float(row["h"]),
-                    p_min=float(row["p_min_mw"]),
-                    p_max=float(row["p_max_mw"]),
-                    t_up=_count(row["t_up_h"]),
-                    t_down=_count(row["t_down_h"]),
-                    initial_status=_count(row["initial_status_h"]),
-                )
+                GeneratorSpec(**{field: read(row[key]) for key, field, read in _GEN_FIELDS})
             )
     except InstanceParseError:
         raise
@@ -277,11 +267,8 @@ def run(
     rho: float = 0.5,
     n_samples: int = 50,
     seed: int = 0,
-    threads: int = 1,
     warm_start: str = "tree:H=1",
     api_iterations: int = 10,
-    api_alpha: float = 0.01,
-    api_epsilon: float = 0.1,
     api_episodes: int = 500,
 ) -> RunReport:
     """Execute one solver and audit the reported objective."""
@@ -289,22 +276,20 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     env = UnitCommitmentMDP(instance)
     s0 = env.initial_state()
-    config: dict = {"algo": algorithm, "seed": seed, "threads": threads}
+    config: dict = {"algo": algorithm, "seed": seed}
     started = time.perf_counter()
 
     if algorithm == "tree":
         config["H"] = lookahead
-        solution = tree_search_policy(s0, SearchConfig(lookahead, threads=threads), env)
+        solution = tree_search_policy(s0, SearchConfig(lookahead), env)
     elif algorithm == "tree-sub":
         config.update({"H": lookahead, "K": sample_count, "rho": rho})
-        search = SearchConfig(
-            lookahead, subsample=SubsampleConfig(sample_count, rho, seed), threads=threads
-        )
+        search = SearchConfig(lookahead, subsample=SubsampleConfig(sample_count, rho, seed))
         solution = subsampled_tree_search(s0, search, env)
     elif algorithm == "backsweep":
         warm_h = parse_warm_start(warm_start)
         config.update({"ns": n_samples, "warm_start": f"tree:H={warm_h}"})
-        warm = tree_search_policy(s0, SearchConfig(warm_h, threads=threads), env)
+        warm = tree_search_policy(s0, SearchConfig(warm_h), env)
         rng = np.random.default_rng(seed)
         slices = evaluate_states(n_samples, warm.terminal_state, env, rng)
         solution = greedy_policy(slices, s0, env)
@@ -312,14 +297,14 @@ def run(
         config.update(
             {
                 "n_pi": api_iterations,
-                "alpha": api_alpha,
-                "epsilon": api_epsilon,
+                "alpha": API_ALPHA,
+                "epsilon": API_EPSILON,
                 "episodes": api_episodes,
             }
         )
         rng = np.random.default_rng(seed)
         _, solution = approximate_policy_iteration(
-            api_iterations, api_alpha, api_epsilon, api_episodes, rng, env
+            api_iterations, API_ALPHA, API_EPSILON, api_episodes, rng, env
         )
     runtime = time.perf_counter() - started
 

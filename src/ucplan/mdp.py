@@ -351,13 +351,9 @@ class UnitCommitmentMDP:
         """Units a child of ``status`` has locked on if committed now, and
         locked off if not: an action's child has locks ``aint & on_lock``
         and ``~aint & off_lock``."""
-        on_lock = 0
-        off_lock = 0
-        for i, st in enumerate(status):
-            if (min(st + 1, STATUS_CAP) if st > 0 else 1) < self._t_up[i]:
-                on_lock |= self._mask[i]
-            if -self._t_down[i] < (max(st - 1, -STATUS_CAP) if st < 0 else -1):
-                off_lock |= self._mask[i]
+        n = self.n_units
+        on_lock = self._lock_masks(self._advance(status, (1,) * n))[0]
+        off_lock = self._lock_masks(self._advance(status, (0,) * n))[1]
         return on_lock, off_lock
 
     def _feasible_ints(self, status, hour: int) -> tuple[int, ...]:

@@ -32,10 +32,9 @@ choice, are those of full enumeration bit for bit.  The sub-sampled
 search prunes only among root candidates: each draws from its own RNG
 stream, created when it is expanded, so skipping one changes no other,
 while inner nodes share their root candidate's stream and keep every
-draw in order.  With ``threads > 1`` the root scores every candidate.
+draw in order.
 """
 
-from concurrent import futures
 from dataclasses import dataclass
 from math import inf
 
@@ -65,13 +64,10 @@ class SubsampleConfig:
 class SearchConfig:
     lookahead: int
     subsample: SubsampleConfig | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.lookahead < 1:
             raise ValueError("lookahead must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def _cutoff_best(env: UnitCommitmentMDP, status, hour: int, aints) -> tuple[int, float]:
@@ -162,8 +158,7 @@ _search_sub = _search
 
 
 def _best_root(
-    env: UnitCommitmentMDP, state: SystemState, aints, depth: int, expand_for, threads: int,
-    prune: bool,
+    env: UnitCommitmentMDP, state: SystemState, aints, depth: int, expand_for, prune: bool
 ):
     """Index and value of the best root candidate: its reward plus the
     ``_search`` value of its child, which expands with ``expand_for(index)``
@@ -173,8 +168,7 @@ def _best_root(
     Candidates go in descending reward against the children's
     ``_tail_bound`` (``_bounded_best``).  They ascend by index, so taking
     the lowest index among equal values breaks ties toward the
-    lexicographically smallest action.  With ``threads > 1`` every
-    candidate is scored.
+    lexicographically smallest action.
     """
     if _at_cutoff(env, state.hour, depth):
         return _cutoff_best(env, state.status, state.hour, aints)
@@ -186,17 +180,12 @@ def _best_root(
             env, child, state.hour + 1, depth - 1, expand_for(k), aints[k], prune
         )
 
-    if threads > 1 and len(aints) > 1:
-        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(score, range(len(aints))))
-        best = max(range(len(values)), key=values.__getitem__)
-        return best, values[best]
     order = sorted(range(len(aints)), key=rewards.__getitem__, reverse=True)
     return _bounded_best(order, rewards, _tail_bound(env, state.hour + 1, depth - 1), score)
 
 
 def find_best_action(
-    state: SystemState, lookahead: int, env: UnitCommitmentMDP, threads: int = 1
+    state: SystemState, lookahead: int, env: UnitCommitmentMDP
 ) -> tuple[CommitmentAction, float]:
     """First action of a reward-maximizing sequence over
     min(lookahead, remaining hours); ties go to the lexicographically
@@ -210,7 +199,7 @@ def find_best_action(
     def expand(status, hour, _anchor):
         return env._feasible_ints(status, hour)
 
-    k, value = _best_root(env, state, cands, lookahead, lambda _k: expand, threads, True)
+    k, value = _best_root(env, state, cands, lookahead, lambda _k: expand, True)
     return env._bits_of(cands[k]), value
 
 
@@ -218,9 +207,7 @@ def tree_search_policy(
     s0: SystemState, config: SearchConfig, env: UnitCommitmentMDP
 ) -> ScheduleSolution:
     """Receding-horizon rollout of ``find_best_action`` over the full day."""
-    return env.rollout(
-        s0, lambda state, _: find_best_action(state, config.lookahead, env, config.threads)
-    )
+    return env.rollout(s0, lambda state, _: find_best_action(state, config.lookahead, env))
 
 
 def sample_action_neighborhood(
@@ -263,7 +250,7 @@ def subsampled_tree_search(
     t-1 (at t=0: the on/off sign pattern of the initial state); deeper
     nodes anchor on the action taken along their own path.  Each root
     candidate evaluates under an RNG stream derived from (seed, t, index),
-    so results do not depend on thread count.
+    so a pruned root candidate changes no other candidate's draws.
     """
     if config.subsample is None:
         raise ValueError("subsampled_tree_search requires a subsample config")
@@ -291,7 +278,7 @@ def subsampled_tree_search(
 
             return expand
 
-        k, value = _best_root(env, state, cands, depth, expand_for, config.threads, False)
+        k, value = _best_root(env, state, cands, depth, expand_for, False)
         return env._bits_of(cands[k]), value
 
     return env.rollout(s0, choose)

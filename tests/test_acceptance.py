@@ -224,8 +224,8 @@ def test_criterion_8_api_baseline_beats_random_play_at_small_scale():
 def test_criterion_9_all_solvers_emit_byte_identical_csv():
     inst = gen_instance(4, 8, 1)
     configs = [
-        ("tree", dict(lookahead=2, threads=4)),
-        ("tree-sub", dict(lookahead=2, sample_count=6, rho=0.5, seed=5, threads=4)),
+        ("tree", dict(lookahead=2)),
+        ("tree-sub", dict(lookahead=2, sample_count=6, rho=0.5, seed=5)),
         ("backsweep", dict(n_samples=30, seed=5, warm_start="tree:H=2")),
         ("api", dict(seed=3, api_iterations=3, api_episodes=100)),
     ]
@@ -235,5 +235,5 @@ def test_criterion_9_all_solvers_emit_byte_identical_csv():
             for _ in range(3)
         }
         assert len(outputs) == 1, f"{algo} produced diverging CSV output"
-    report(9, "tree (4 threads), tree-sub (4 threads), backsweep, and api each "
+    report(9, "tree, tree-sub, backsweep, and api each "
               "produced byte-identical CSV across 3 runs")

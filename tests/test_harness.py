@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import ucplan
 from ucplan import (
     InstanceParseError,
     InstanceValidationError,
@@ -133,6 +137,17 @@ class TestRun:
         report = run(inst, "tree", lookahead=6)
         assert report.objective == report.solution.cost.objective
         assert report.generation + report.startup == report.objective
+
+    def test_config_records_each_setting_in_summary_order(self):
+        inst = gen_instance(3, 6, 1)
+        api = run(inst, "api", api_iterations=1, api_episodes=5).config
+        assert list(api.items()) == [
+            ("algo", "api"), ("seed", 0),
+            ("n_pi", 1), ("alpha", 0.01), ("epsilon", 0.1), ("episodes", 5),
+        ]
+        assert list(run(inst, "tree", lookahead=2).config.items()) == [
+            ("algo", "tree"), ("seed", 0), ("H", 2),
+        ]
 
     def test_audit_catches_a_wrong_memoised_dispatch_cost(self, monkeypatch):
         inst = gen_instance(3, 6, 1)
@@ -367,6 +382,7 @@ class TestCli:
             ("tree-sub", ["--rho", "1.5"]),
             ("backsweep", ["--ns", "0"]),
             ("tree", ["--threads", "0"]),
+            ("tree", ["--threads", "2"]),
             ("backsweep", ["--warm-start", "foo"]),
             ("tree-sub", ["--seed", "-1"]),
             ("tree", ["-i", "missing.json"]),
@@ -429,3 +445,15 @@ class TestCli:
             ])
             outputs.append((out / "schedule.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_cli_import_loads_no_thread_pool(self):
+        """Every solve runs in one thread, so importing the CLI must not pull
+        in ``concurrent.futures`` (and the ``logging`` it imports)."""
+        src = Path(ucplan.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ucplan.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.split() == ["False"]

@@ -18,6 +18,7 @@ from ucplan import (
     load_instance,
     startup_cost,
 )
+from ucplan.core import STATUS_CAP
 from ucplan.mdp import all_statuses
 
 from conftest import INSTANCES, make_gen, make_instance
@@ -269,6 +270,28 @@ class TestReward:
         bound = env.reward_bound(hour)
         assert all(r <= bound for r in env.rewards(status, hour, aints))
         assert (bound == -math.inf) == (not aints)
+
+
+def child_lock_masks_by_loop(env, status):
+    """``_child_lock_masks`` written out unit by unit: each child counter
+    advanced by hand and tested against its unit's lock."""
+    on_lock = off_lock = 0
+    for i, (st, g) in enumerate(zip(status, env.instance.generators)):
+        if (min(st + 1, STATUS_CAP) if st > 0 else 1) < g.t_up:
+            on_lock |= env._mask[i]
+        if -g.t_down < (max(st - 1, -STATUS_CAP) if st < 0 else -1):
+            off_lock |= env._mask[i]
+    return on_lock, off_lock
+
+
+class TestChildLockMasks:
+    @pytest.mark.parametrize("locks", [((1, 1), (1, 1)), ((2, 3), (4, 1)), ((24, 24), (3, 23))])
+    def test_masks_derived_from_advance_equal_the_unit_loop(self, locks):
+        gens = [make_gen(id=i, t_up=up, t_down=down, initial_status=up)
+                for i, (up, down) in enumerate(locks)]
+        env = env_for(gens, demand=[60.0] * 2)
+        for status in all_statuses(2):
+            assert env._child_lock_masks(status) == child_lock_masks_by_loop(env, status)
 
 
 class TestCatastrophe:

@@ -163,14 +163,6 @@ class TestTreeSearchPolicy:
         with pytest.raises(ValueError):
             tree_search_policy(SystemState((3, 3), 1), SearchConfig(1), env)
 
-    def test_threads_do_not_change_the_plan(self):
-        inst = gen_instance(5, 8, seed=6)
-        env = UnitCommitmentMDP(inst)
-        one = tree_search_policy(env.initial_state(), SearchConfig(2, threads=1), env)
-        four = tree_search_policy(env.initial_state(), SearchConfig(2, threads=4), env)
-        assert one.actions == four.actions
-        assert one.step_values == four.step_values
-
 
 def cutoff_reference(env, status, hour, aints):
     """First maximum of the full cutoff vector: each candidate's reward,
@@ -545,14 +537,6 @@ class TestSubsampledTreeSearch:
         a = subsampled_tree_search(env.initial_state(), cfg, env)
         b = subsampled_tree_search(env.initial_state(), cfg, env)
         assert a == b
-
-    def test_threads_do_not_change_the_plan(self):
-        inst = gen_instance(4, 6, seed=1)
-        env = UnitCommitmentMDP(inst)
-        base = SubsampleConfig(4, 0.5, 12)
-        one = subsampled_tree_search(env.initial_state(), SearchConfig(2, subsample=base, threads=1), env)
-        four = subsampled_tree_search(env.initial_state(), SearchConfig(2, subsample=base, threads=4), env)
-        assert one.actions == four.actions
 
     def test_requires_subsample_config(self, two_unit_instance):
         env = UnitCommitmentMDP(two_unit_instance)
