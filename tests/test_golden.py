@@ -4,7 +4,9 @@ The small-instance digests were recorded before the reward kernel was
 unified, the bundled-instance tree ones before dispatch was batched (the
 two deepest, ``n8_t24`` at H=4 and ``n12_t24`` at H=3, before the tree
 searches pruned against a reward bound), and the bundled-instance
-tree-sub ones before the two search recursions were merged.  Each digest
+tree-sub ones before the two search recursions were merged, and the
+17-unit ones before one feasible-action table served every fleet size
+(the first solves above 16 units any test runs).  Each digest
 covers a solver's emitted ``schedule.csv`` text plus the ``repr`` of its
 per-hour step values, so a change in the last bit of any value the search
 reports fails here.  The small solver instance has a multi-start-up hour
@@ -59,6 +61,18 @@ BUNDLED_TREE_SUB_DIGESTS = {
     ("n12_t24", 2, 16): "9854a4d78c58871d6e862e4029c24d0c633b09abe3f068e46f3068781b795626",
 }
 
+# both tree searches on ``gen_instance(17, 4, 1)``, a fleet above 16 units
+LARGE_FLEET_DIGESTS = {
+    "tree": (
+        dict(lookahead=2),
+        "809f2b660e918c4156bc6683cee9c984adc8fff781309117fa2140c51563c98d",
+    ),
+    "tree-sub": (
+        dict(lookahead=2, sample_count=16, rho=0.5, seed=0),
+        "eb46c19073deba318ddf3aa562f8491620742289bc61bd46d1bb8789d2706350",
+    ),
+}
+
 EXACT_DP_DIGEST = "943382c9e6e6612749be0b1d92b2722568b78274a990ebe9ccb336186013ae5b"
 
 
@@ -96,6 +110,14 @@ def test_bundled_tree_sub_plans_are_unchanged(name, lookahead, sample_count):
     sol = run(inst, "tree-sub", **kwargs).solution
     digest = sha256(schedule_csv_text(sol, inst) + repr(sol.step_values))
     assert digest == BUNDLED_TREE_SUB_DIGESTS[name, lookahead, sample_count]
+
+
+@pytest.mark.parametrize("algo", sorted(LARGE_FLEET_DIGESTS))
+def test_large_fleet_plans_are_unchanged(algo):
+    inst = gen_instance(17, 4, 1)
+    kwargs, digest = LARGE_FLEET_DIGESTS[algo]
+    sol = run(inst, algo, **kwargs).solution
+    assert sha256(schedule_csv_text(sol, inst) + repr(sol.step_values)) == digest
 
 
 def test_exhaustive_plan_is_unchanged():
