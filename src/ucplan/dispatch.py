@@ -184,7 +184,7 @@ def economic_dispatch(action, demand: float, gens) -> DispatchResult:
     while fsum(p := _response(lam_hi, committed)) < demand and p != top:
         lam_hi += max(1.0, lam_hi - lam_lo)
 
-    tol = 1e-9 * max(demand, 1e-9)
+    tol = 1e-9 * demand
     powers = None
     degenerate = False
     lam = lam_lo
@@ -398,7 +398,7 @@ def dispatch_costs(bits, demand: float, gens) -> list[float]:
         grow = grow[~unsure & (short < 0)]
         lam_hi[grow] += np.maximum(1.0, lam_hi[grow] - lam_lo[grow])
 
-    tol = 1e-9 * max(demand, 1e-9)
+    tol = 1e-9 * demand
     rows = np.flatnonzero(~scalar)
     lo, hi, on_rows, near = lam_lo[rows], lam_hi[rows], on_f[rows], margin[rows]
     done = np.zeros(len(on), dtype=bool)

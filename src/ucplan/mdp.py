@@ -33,12 +33,6 @@ BIG = 1e12  # catastrophe penalty, dominates any real schedule cost
 # one 0/1 commitment bit per unit, bit i commits unit i
 CommitmentAction = tuple[int, ...]
 
-# full 2^N action tables are only precomputed up to this fleet size
-_TABLE_LIMIT = 16
-
-# free-unit combinations the generic feasible-set path scores per numpy chunk
-_GENERIC_CHUNK = 1 << 16
-
 # fewest memo misses in one ``rewards`` call worth one batched dispatch: the
 # batch costs about 1 ms of numpy overhead; measured crossover 20 rows at
 # N = 12, 28 at N = 8
@@ -91,11 +85,13 @@ class ScheduleSolution:
 
 
 class UnitCommitmentMDP:
-    """Environment wrapper around an instance with precomputed tables.
+    """Environment wrapper around an instance with memoised tables.
 
     All methods are pure with respect to observable behaviour; dispatch
-    costs are memoized internally because every solver re-evaluates the
-    same (committed set, hour) pairs many times.
+    costs and feasible sets are memoized internally because every solver
+    re-evaluates the same (committed set, hour) pairs many times.  The
+    per-hour table of set-limit-feasible actions is built on the first
+    feasible-set lookup, so replaying a plan builds none.
 
     Every start-up price must be >= 0, as it is when ``e, f >= 0`` (which
     ``validate_instance`` checks): ``reward_bound`` relies on it.
@@ -123,23 +119,11 @@ class UnitCommitmentMDP:
         ]
         # by hour: ``reward_bound``, built on first use
         self._reward_bounds: list[float | None] = [None] * self.horizon
-
-        if n <= _TABLE_LIMIT:
-            ints = np.arange(1 << n, dtype=np.int64)
-            bits = (ints[:, None] >> np.arange(n - 1, -1, -1)) & 1
-            sum_min, sum_max = _set_limit_sums(ints, self._mask, gens)
-            demand = np.array(instance.profile.demand)
-            reserve = np.array(instance.profile.reserve)
-            ok = (sum_min[:, None] <= demand) & (sum_max[:, None] >= demand + reserve)
-            self._acts_by_hour = [ints[ok[:, t]] for t in range(self.horizon)]
-            self._bits_table = tuple(map(tuple, bits.tolist()))
-            # one int object per action; memoised feasible sets share them
-            # rather than each holding its own copies (28 bytes an int)
-            self._int_objects = ints.tolist()
-        else:
-            self._acts_by_hour = None
-            self._bits_table = None
-            self._int_objects = None
+        # by hour: the actions that pass the set limits, built on first use
+        self._acts_by_hour: list[np.ndarray] | None = None
+        # one int object per action; memoised feasible sets share them
+        # rather than each holding its own copies (28 bytes an int)
+        self._int_objects: list[int] | None = None
 
     # -- state space ----------------------------------------------------
 
@@ -329,13 +313,13 @@ class UnitCommitmentMDP:
             raise InfeasibleActionError(f"set generation limits violated at hour {hour}")
 
     def _advance(self, status, action) -> tuple[int, ...]:
-        out = []
-        for st, bit in zip(status, action):
-            if bit:
-                out.append(min(st + 1, STATUS_CAP) if st > 0 else 1)
-            else:
-                out.append(max(st - 1, -STATUS_CAP) if st < 0 else -1)
-        return tuple(out)
+        """Counters one hour on: a committed unit counts up from 1, an idle
+        one down from -1, each saturating at the cap."""
+        return tuple([
+            (st + 1 if 0 < st < STATUS_CAP else 1 if st < 0 else STATUS_CAP) if bit
+            else (st - 1 if -STATUS_CAP < st < 0 else -1 if st > 0 else -STATUS_CAP)
+            for st, bit in zip(status, action)
+        ])
 
     def _lock_masks(self, status) -> tuple[int, int]:
         lock_on = 0
@@ -363,48 +347,32 @@ class UnitCommitmentMDP:
 
     def _feasible_for_locks(self, hour: int, lock_on: int, lock_off: int) -> tuple[int, ...]:
         """Actions at ``hour`` that keep these lock masks and pass the set
-        limits, ascending; memoised per hour by the masks."""
+        limits, ascending; memoised per hour by the masks.  The first call
+        filters all 2^N actions by every hour's set limits."""
         memo = self._feasible_memo[hour]
         key = lock_on << self.n_units | lock_off
         feas = memo.get(key)
         if feas is None:
-            if self._acts_by_hour is not None:
-                arr = self._acts_by_hour[hour]
-                sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
-                objects = self._int_objects
-                # through a list: tuple(map(...)) resizes while it fills, which
-                # raised peak RSS a little more on every repeated solve
-                feas = tuple([objects[a] for a in sel.tolist()])
-            else:
-                feas = tuple(self._feasible_ints_generic(hour, lock_on, lock_off))
+            if self._acts_by_hour is None:
+                ints = np.arange(1 << self.n_units, dtype=np.int64)
+                lo, hi = _set_limit_sums(ints, self._mask, self._gens)
+                profile = self.instance.profile
+                self._acts_by_hour = [
+                    ints[(lo <= d) & (hi >= d + r)]
+                    for d, r in zip(profile.demand, profile.reserve)
+                ]
+                self._int_objects = ints.tolist()
+            arr = self._acts_by_hour[hour]
+            sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
+            objects = self._int_objects
+            # through a list: tuple(map(...)) resizes while it fills, which
+            # raised peak RSS a little more on every repeated solve
+            feas = tuple([objects[a] for a in sel.tolist()])
             memo[key] = feas
         return feas
 
-    def _feasible_ints_generic(self, hour, lock_on, lock_off) -> list[int]:
-        """Actions that keep the lock masks and pass ``check_set_limits``,
-        ascending.  Enumerates the unlocked units' bits only, in numpy chunks."""
-        demand = self.instance.profile.demand[hour]
-        reserve = self.instance.profile.reserve[hour]
-        n = self.n_units
-        free = [i for i in range(n) if not (lock_on | lock_off) & self._mask[i]]
-        total = 1 << len(free)
-        out = []
-        for start in range(0, total, _GENERIC_CHUNK):
-            # combo's bits, highest first, go to the free units in unit order,
-            # so ascending combos give ascending actions (int64: N <= 63)
-            combo = np.arange(start, min(start + _GENERIC_CHUNK, total), dtype=np.int64)
-            aints = np.full(len(combo), lock_on, dtype=np.int64)
-            for k, i in enumerate(reversed(free)):
-                aints |= ((combo >> k) & 1) << (n - 1 - i)
-            lo, hi = _set_limit_sums(aints, self._mask, self._gens)
-            out.extend(aints[(lo <= demand) & (hi >= demand + reserve)].tolist())
-        return out
-
     def _bits_of(self, aint: int) -> CommitmentAction:
-        if self._bits_table is not None:
-            return self._bits_table[aint]
-        n = self.n_units
-        return tuple((aint >> (n - 1 - i)) & 1 for i in range(n))
+        return tuple([1 if aint & m else 0 for m in self._mask])
 
     def _int_of(self, action) -> int:
         aint = 0

@@ -106,6 +106,17 @@ class TestEconomicDispatch:
         result = economic_dispatch((1, 1, 1), demand, gens)
         assert result.power == (0.1, 0.2, 0.3)
 
+    def test_tiny_demand_is_served(self):
+        # far below 1 nW, where an absolute floor on the bisection's
+        # tolerance once accepted the all-zero dispatch
+        gens = [
+            make_gen(id=0, a=0.0, b=8.0, p_min=0.0, p_max=0.0),
+            make_gen(id=1, a=0.0, b=8.0, p_min=0.0, p_max=1.0),
+        ]
+        result = economic_dispatch((0, 1), 9.219e-136, gens)
+        assert result.power == (0.0, 9.219e-136)
+        assert dispatch_costs([(0, 1)], 9.219e-136, gens) == [result.cost]
+
     def test_linear_units_fill_in_merit_order(self):
         gens = [
             make_gen(id=0, a=0.0, b=10.0, p_min=0.0, p_max=10.0),

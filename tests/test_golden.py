@@ -5,8 +5,8 @@ unified, the bundled-instance tree ones before dispatch was batched (the
 two deepest, ``n8_t24`` at H=4 and ``n12_t24`` at H=3, before the tree
 searches pruned against a reward bound), and the bundled-instance
 tree-sub ones before the two search recursions were merged, and the
-17-unit ones before one feasible-action table served every fleet size
-(the first solves above 16 units any test runs).  Each digest
+17-unit ones before fleets above 16 units lost their own feasible-set
+path to the one action table.  Each digest
 covers a solver's emitted ``schedule.csv`` text plus the ``repr`` of its
 per-hour step values, so a change in the last bit of any value the search
 reports fails here.  The small solver instance has a multi-start-up hour

@@ -158,37 +158,41 @@ class TestFeasibleActions:
             lock_on = sum(m for m, g, st in zip(env._mask, gens, status) if 0 < st < g.t_up)
             lock_off = sum(m for m, g, st in zip(env._mask, gens, status) if -g.t_down < st < 0)
             for hour in range(inst.horizon):
+                first = env._feasible_ints(status, hour)  # builds the table
                 fresh = tuple(
                     a for a in env._acts_by_hour[hour].tolist()
                     if a & lock_on == lock_on and not a & lock_off
                 )
-                first = env._feasible_ints(status, hour)
                 again = env._feasible_ints(status, hour)
                 assert type(first) is tuple and type(again) is tuple
                 assert first == again == fresh
 
-    @pytest.mark.parametrize("name", ["n8_t24", "n12_t24"])
-    def test_generic_path_matches_the_table(self, name):
-        env = UnitCommitmentMDP(load_instance(INSTANCES / f"{name}.json"))
+    @pytest.mark.parametrize("load, hours", [
+        (lambda: load_instance(INSTANCES / "n8_t24.json"), range(24)),
+        (lambda: gen_instance(17, 24, 1), (0, 8, 16)),
+    ], ids=["n8_t24", "gen17_t24"])
+    def test_lock_filter_matches_the_set_limit_check(self, load, hours):
+        env = UnitCommitmentMDP(load())
         n = env.n_units
-        demand, reserve = env.instance.profile.demand, env.instance.profile.reserve
         rng = np.random.default_rng(0)
-        for hour in range(env.horizon):
-            for lock in [[0] * n, *rng.integers(0, 3, size=(5, n)).tolist()]:
+        for hour in hours:
+            for lock in [[0] * n, *rng.integers(0, 3, size=(6, n)).tolist()]:
                 lock_on = sum(m for m, k in zip(env._mask, lock) if k == 1)
                 lock_off = sum(m for m, k in zip(env._mask, lock) if k == 2)
-                table = env._acts_by_hour[hour]
-                expected = table[((table & lock_on) == lock_on) & ((table & lock_off) == 0)]
-                generic = env._feasible_ints_generic(hour, lock_on, lock_off)
-                assert generic == expected.tolist()
-                if n <= 8:  # and against the set-limit check, one action at a time
-                    assert generic == [
-                        a for a in range(1 << n)
-                        if a & lock_on == lock_on and not a & lock_off
-                        and check_set_limits(
-                            env._bits_of(a), demand[hour], reserve[hour], env._gens
-                        )
-                    ]
+                expected = set_limit_brute_force(env, hour, lock_on, lock_off)
+                assert env._feasible_for_locks(hour, lock_on, lock_off) == expected
+
+
+def set_limit_brute_force(env, hour, lock_on, lock_off):
+    """Actions that keep the lock masks and pass ``check_set_limits``, tried
+    one at a time over the unlocked units' bits, ascending."""
+    demand, reserve = env.instance.profile.demand[hour], env.instance.profile.reserve[hour]
+    free = [m for m in env._mask if not m & (lock_on | lock_off)]
+    aints = (lock_on | sum(m for m, bit in zip(free, bits) if bit)
+             for bits in itertools.product((0, 1), repeat=len(free)))
+    return tuple(sorted(
+        a for a in aints if check_set_limits(env._bits_of(a), demand, reserve, env._gens)
+    ))
 
 
 def left_to_right(values, aint, n):
@@ -202,8 +206,8 @@ def left_to_right(values, aint, n):
 
 
 class TestSetLimitSums:
-    """The action table and the generic path sum committed limits as
-    ``check_set_limits`` does, also where the order of addition decides."""
+    """The action table sums committed limits as ``check_set_limits`` does,
+    also where the order of addition decides."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -227,7 +231,15 @@ class TestSetLimitSums:
             if check_set_limits(bits, demand, reserve, env._gens)
         ]
         assert env.feasible_actions(SystemState((1,) * n, 0)) == expected
-        assert env._feasible_ints_generic(0, 0, 0) == [env._int_of(b) for b in expected]
+
+
+class TestActionTable:
+    def test_replay_builds_no_table(self):
+        # the 2^20-action table takes seconds and hundreds of MB; a replay
+        # checks each action against the locks and limits directly
+        env = env_for([make_gen(id=i) for i in range(20)], [1000.0] * 4, [100.0] * 4)
+        assert env.replay([(1,) * 20] * 4).objective > 0
+        assert env._acts_by_hour is None
 
 
 class TestReward:
