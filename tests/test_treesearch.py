@@ -418,6 +418,27 @@ class TestBranchAndBound:
         assert find_best_action(env.initial_state(), 3, env) == pruned
         assert 0 < 10 * n_pruned < len(calls)
 
+    @pytest.mark.parametrize(
+        ("algorithm", "options", "want"),
+        [("tree", {}, 248), ("tree-sub", {"sample_count": 64, "rho": 0.5, "seed": 0}, 1850)],
+    )
+    def test_search_call_count_on_the_bundled_n8_instance(
+        self, monkeypatch, algorithm, options, want
+    ):
+        # pins the walk itself: a change in visit order or pruning that
+        # leaves the plan alone still moves the number of recursive calls
+        calls = 0
+        search = treesearch._search
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(treesearch, "_search", counted)
+        run(load_instance(INSTANCES / "n8_t24.json"), algorithm, lookahead=3, **options)
+        assert calls == want
+
     @pytest.mark.parametrize("lookahead", [2, 3])
     def test_tree_sub_root_pruning_keeps_the_plan(self, monkeypatch, lookahead):
         inst = load_instance(INSTANCES / "n8_t24.json")
