@@ -64,8 +64,6 @@ from .mdp import (
 )
 from .oracle import dp_greedy_solution, exact_dp, exhaustive_optimum, grid_dispatch
 from .treesearch import (
-    SearchConfig,
-    SubsampleConfig,
     find_best_action,
     sample_action_neighborhood,
     subsampled_tree_search,

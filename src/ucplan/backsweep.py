@@ -211,9 +211,7 @@ def evaluate_states(
     return slices
 
 
-def greedy_policy(
-    slices: list[ValueSlice], s0: SystemState, env: UnitCommitmentMDP
-) -> ScheduleSolution:
+def greedy_policy(slices: list[ValueSlice], env: UnitCommitmentMDP) -> ScheduleSolution:
     """Forward sweep: at every hour take the action maximizing reward plus
     the neighbor-approximated next-slice value (lexicographic ties)."""
 
@@ -224,4 +222,4 @@ def greedy_policy(
         k = int(np.argmax(scores))  # first maximum = lexicographic tie-break
         return env._bits_of(acts[k]), float(scores[k])
 
-    return env.rollout(s0, choose)
+    return env.rollout(choose)

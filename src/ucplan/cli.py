@@ -10,7 +10,7 @@ from . import harness, oracle
 from .dispatch import economic_dispatch
 from .errors import UnitCommitmentError
 from .mdp import SystemState, UnitCommitmentMDP
-from .treesearch import SearchConfig, tree_search_policy
+from .treesearch import tree_search_policy
 
 
 class UsageError(UnitCommitmentError):
@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
         return 2
 
     best = oracle.exhaustive_optimum(env)
-    tree = tree_search_policy(env.initial_state(), SearchConfig(env.horizon), env)
+    tree = tree_search_policy(env.horizon, env)
     check(
         "full-depth tree search matches exhaustive optimum",
         tree.objective == best.objective,

@@ -80,11 +80,13 @@ def _response(lam: float, committed: list[GeneratorSpec]) -> list[float]:
 
 
 def _fill_at_price(lam, demand, committed):
-    """Resolve a dispatch whose optimum sits on a linear unit's price step.
+    """Resolve a dispatch whose bisection bracket collapsed on a price step.
 
     Quadratic units follow their price response; linear units strictly
     cheaper than ``lam`` run at p_max, strictly dearer at p_min, and the
     marginal ones (b == lam) absorb the remainder in (b, id) merit order.
+    What is left goes to the marginal quadratic units
+    (``_balance_quadratic``).
     """
     tol_b = 1e-9 * max(1.0, abs(lam))
     powers = []
@@ -113,7 +115,37 @@ def _fill_at_price(lam, demand, committed):
         remainder -= take
         if remainder <= 0:
             break
+    _balance_quadratic(powers, lam, tol_b, demand, committed)
     return powers, degenerate
+
+
+def _balance_quadratic(powers, lam, tol_b, demand, committed):
+    """Zero the balance residual of a price-step fallback on the quadratic
+    units whose marginal cost is within ``tol_b`` of ``lam``.
+
+    At a small demand one ulp of price moves a quadratic unit by more than
+    the bisection's tolerance, so the bracket can collapse with no linear
+    unit to take up the rest.  The residual is shared along the
+    equal-incremental-cost line among the units that can move toward it,
+    again while one stops at a bound or rounding leaves a remainder; each
+    marginal cost moves by one price shift, about an ulp of ``lam``.
+    """
+    resid = demand - fsum(powers)
+    for _ in range(len(committed) + 1):
+        movers = [
+            k
+            for k, g in enumerate(committed)
+            if g.a > 0
+            and abs(2.0 * g.a * powers[k] + g.b - lam) <= tol_b
+            and (powers[k] < g.p_max if resid > 0 else powers[k] > g.p_min)
+        ]
+        if resid == 0.0 or not movers:
+            return
+        dlam = resid / sum(1.0 / (2.0 * committed[k].a) for k in movers)
+        for k in movers:
+            g = committed[k]
+            powers[k] = min(max(powers[k] + dlam / (2.0 * g.a), g.p_min), g.p_max)
+        resid = demand - fsum(powers)
 
 
 def _polish_balance(powers, lam, demand, committed):

@@ -38,12 +38,7 @@ from .core import (
 from .dispatch import kkt_violation
 from .errors import InstanceParseError, InstanceValidationError, UnitCommitmentError
 from .mdp import ScheduleSolution, UnitCommitmentMDP
-from .treesearch import (
-    SearchConfig,
-    SubsampleConfig,
-    subsampled_tree_search,
-    tree_search_policy,
-)
+from .treesearch import subsampled_tree_search, tree_search_policy
 
 ALGORITHMS = ("tree", "tree-sub", "backsweep", "api")
 
@@ -275,24 +270,22 @@ def run(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     env = UnitCommitmentMDP(instance)
-    s0 = env.initial_state()
     config: dict = {"algo": algorithm, "seed": seed}
     started = time.perf_counter()
 
     if algorithm == "tree":
         config["H"] = lookahead
-        solution = tree_search_policy(s0, SearchConfig(lookahead), env)
+        solution = tree_search_policy(lookahead, env)
     elif algorithm == "tree-sub":
         config.update({"H": lookahead, "K": sample_count, "rho": rho})
-        search = SearchConfig(lookahead, subsample=SubsampleConfig(sample_count, rho, seed))
-        solution = subsampled_tree_search(s0, search, env)
+        solution = subsampled_tree_search(lookahead, sample_count, rho, seed, env)
     elif algorithm == "backsweep":
         warm_h = parse_warm_start(warm_start)
         config.update({"ns": n_samples, "warm_start": f"tree:H={warm_h}"})
-        warm = tree_search_policy(s0, SearchConfig(warm_h), env)
+        warm = tree_search_policy(warm_h, env)
         rng = np.random.default_rng(seed)
         slices = evaluate_states(n_samples, warm.terminal_state, env, rng)
-        solution = greedy_policy(slices, s0, env)
+        solution = greedy_policy(slices, env)
     else:
         config.update(
             {

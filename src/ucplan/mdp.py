@@ -33,9 +33,10 @@ BIG = 1e12  # catastrophe penalty, dominates any real schedule cost
 # one 0/1 commitment bit per unit, bit i commits unit i
 CommitmentAction = tuple[int, ...]
 
-# fewest memo misses in one ``rewards`` call worth one batched dispatch: the
-# batch costs about 1 ms of numpy overhead; measured crossover 20 rows at
-# N = 12, 28 at N = 8
+# fewest memo misses in one ``rewards`` call worth one batched dispatch: a
+# batch costs about 1.1-1.5 ms of numpy overhead and a scalar row 50-65 us,
+# so with batched rows finishing in numpy the crossover is 24-32 rows at
+# N = 8 and 16-24 at N = 12 (bundled instances, hours 3, 12 and 20)
 _BATCH_MIN = 24
 
 
@@ -268,17 +269,15 @@ class UnitCommitmentMDP:
             cost=cost,
         )
 
-    def rollout(self, s0: SystemState, choose) -> ScheduleSolution:
+    def rollout(self, choose) -> ScheduleSolution:
         """Receding-horizon loop shared by the planners.
 
         Commits ``choose(state, previous action or None) -> (action, step
-        value)`` hour by hour from hour 0, then replays the plan with those
-        step values.  A NoFeasibleActionError from ``choose`` is re-raised
-        carrying the step it stopped at.
+        value)`` hour by hour from the initial state, then replays the plan
+        with those step values.  A NoFeasibleActionError from ``choose`` is
+        re-raised carrying the step it stopped at.
         """
-        if s0.hour != 0:
-            raise ValueError(f"planning starts from hour 0, not {s0.hour}")
-        state = s0
+        state = self.initial_state()
         actions = []
         values = []
         for t in range(self.horizon):
@@ -289,7 +288,7 @@ class UnitCommitmentMDP:
             actions.append(action)
             values.append(value)
             state = self.transition(state, action)
-        return replace(self.replay(actions, s0), step_values=tuple(values))
+        return replace(self.replay(actions), step_values=tuple(values))
 
     # -- internals --------------------------------------------------------
 

@@ -9,13 +9,15 @@ deviations from the previous hour's action, which is where low-cost
 schedules concentrate: start-up prices and the up/down locks punish
 rapid re-commitment churn.
 
-Both searches run one recursion, ``_search``, over bit-packed actions and
-differ only in where a node's candidates come from: the whole feasible set
+Both searches score every node, the root included, with one routine,
+``_best``, over bit-packed actions; ``_search`` expands an inner node and
+hands its candidates to it.  The searches differ only in where a node's
+candidates come from: the whole feasible set
 (``UnitCommitmentMDP._feasible_ints``), or ``sample_action_neighborhood``
 around the action that reached the node, with Hamming distances taken as
 the popcount of an XOR.  Both score an edge with
-``UnitCommitmentMDP.rewards``, the one definition of the hourly reward,
-share one root choice, and commit hour by hour through
+``UnitCommitmentMDP.rewards``, the one definition of the hourly reward, and
+commit hour by hour from the initial state through
 ``UnitCommitmentMDP.rollout``.  A node whose children sit at the depth
 cutoff, the root included, scores its candidates straight from the reward
 vector, minus ``BIG`` for each child with no feasible action, and keeps the
@@ -35,39 +37,12 @@ while inner nodes share their root candidate's stream and keep every
 draw in order.
 """
 
-from dataclasses import dataclass
 from math import inf
 
 import numpy as np
 
 from .errors import NoFeasibleActionError
 from .mdp import BIG, CommitmentAction, ScheduleSolution, SystemState, UnitCommitmentMDP
-
-
-@dataclass(frozen=True, slots=True)
-class SubsampleConfig:
-    """Neighborhood sampling: ``sample_count`` candidates per node, biased
-    by ``decay**hamming_distance`` from the anchor action."""
-
-    sample_count: int
-    decay: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
-
-
-@dataclass(frozen=True, slots=True)
-class SearchConfig:
-    lookahead: int
-    subsample: SubsampleConfig | None = None
-
-    def __post_init__(self):
-        if self.lookahead < 1:
-            raise ValueError("lookahead must be >= 1")
 
 
 def _cutoff_best(env: UnitCommitmentMDP, status, hour: int, aints) -> tuple[int, float]:
@@ -121,67 +96,56 @@ def _bounded_best(order, rewards, tail: float, score) -> tuple[int, float]:
     return best_k, best
 
 
-def _search(
-    env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor, prune: bool
-) -> float:
-    """Best cumulative reward over ``depth`` more steps from (status, hour),
-    over the candidates ``expand(status, hour, anchor)`` of each node.
+def _best(
+    env: UnitCommitmentMDP, status, hour: int, depth: int, cands, expand_for, ordered, prune
+) -> tuple[int, float]:
+    """Index and value of the best of a node's candidates ``cands``: each
+    one's reward plus the ``_search`` value of its child, or
+    ``_cutoff_best`` when the children are leaves.
 
-    Every child is expanded around the bit-packed action that reached it.
-    Callers stop above the depth cutoff and the terminal hour: a node whose
-    children are leaves scores them with ``_cutoff_best``.  Returns -BIG
-    from a catastrophe state, including one a step past the cutoff, so any
-    feasible branch dominates.  With ``prune``, candidates go in descending
-    reward against the children's ``_tail_bound``; without it, every one
-    is scored in the order ``expand`` gave.
+    Child k expands with ``expand_for(k)`` and walks with ``prune``.  With
+    ``ordered``, the candidates go in descending reward against the
+    children's ``_tail_bound`` (``_bounded_best``); without it, every one
+    is scored in the order given.  Candidates ascend by action, so taking
+    the lowest index among equal values breaks ties toward the
+    lexicographically smallest action.
     """
-    cands = expand(status, hour, anchor)
-    if not cands:
-        return -BIG
     if _at_cutoff(env, hour, depth):
-        return _cutoff_best(env, status, hour, cands)[1]
+        return _cutoff_best(env, status, hour, cands)
     rewards = env.rewards(status, hour, cands)
 
     def score(k: int) -> float:
         child = env._advance(status, env._bits_of(cands[k]))
-        return rewards[k] + _search(env, child, hour + 1, depth - 1, expand, cands[k], prune)
+        return rewards[k] + _search(
+            env, child, hour + 1, depth - 1, expand_for(k), cands[k], prune
+        )
 
-    if not prune:
-        return _bounded_best(range(len(cands)), rewards, inf, score)[1]
+    if not ordered:
+        return _bounded_best(range(len(cands)), rewards, inf, score)
     order = sorted(range(len(cands)), key=rewards.__getitem__, reverse=True)
-    return _bounded_best(order, rewards, _tail_bound(env, hour + 1, depth - 1), score)[1]
+    return _bounded_best(order, rewards, _tail_bound(env, hour + 1, depth - 1), score)
+
+
+def _search(
+    env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor, prune: bool
+) -> float:
+    """Best cumulative reward over ``depth`` more steps from (status, hour):
+    the ``_best`` value of the node's candidates ``expand(status, hour,
+    anchor)``, walked in descending reward when ``prune``.
+
+    Every child is expanded the same way, around the bit-packed action that
+    reached it.  Returns -BIG from a catastrophe state, including one a step
+    past the cutoff, so any feasible branch dominates.
+    """
+    cands = expand(status, hour, anchor)
+    if not cands:
+        return -BIG
+    return _best(env, status, hour, depth, cands, lambda _k: expand, prune, prune)[1]
 
 
 # ``benchmark/spans.py`` patches ``_search_sub`` by name, so the name stays
 # bound to the one recursion.
 _search_sub = _search
-
-
-def _best_root(
-    env: UnitCommitmentMDP, state: SystemState, aints, depth: int, expand_for, prune: bool
-):
-    """Index and value of the best root candidate: its reward plus the
-    ``_search`` value of its child, which expands with ``expand_for(index)``
-    and prunes with ``prune``, or ``_cutoff_best`` when the children are
-    leaves.
-
-    Candidates go in descending reward against the children's
-    ``_tail_bound`` (``_bounded_best``).  They ascend by index, so taking
-    the lowest index among equal values breaks ties toward the
-    lexicographically smallest action.
-    """
-    if _at_cutoff(env, state.hour, depth):
-        return _cutoff_best(env, state.status, state.hour, aints)
-    rewards = env.rewards(state.status, state.hour, aints)
-
-    def score(k: int) -> float:
-        child = env._advance(state.status, env._bits_of(aints[k]))
-        return rewards[k] + _search(
-            env, child, state.hour + 1, depth - 1, expand_for(k), aints[k], prune
-        )
-
-    order = sorted(range(len(aints)), key=rewards.__getitem__, reverse=True)
-    return _bounded_best(order, rewards, _tail_bound(env, state.hour + 1, depth - 1), score)
 
 
 def find_best_action(
@@ -199,15 +163,15 @@ def find_best_action(
     def expand(status, hour, _anchor):
         return env._feasible_ints(status, hour)
 
-    k, value = _best_root(env, state, cands, lookahead, lambda _k: expand, True)
+    k, value = _best(
+        env, state.status, state.hour, lookahead, cands, lambda _k: expand, True, True
+    )
     return env._bits_of(cands[k]), value
 
 
-def tree_search_policy(
-    s0: SystemState, config: SearchConfig, env: UnitCommitmentMDP
-) -> ScheduleSolution:
+def tree_search_policy(lookahead: int, env: UnitCommitmentMDP) -> ScheduleSolution:
     """Receding-horizon rollout of ``find_best_action`` over the full day."""
-    return env.rollout(s0, lambda state, _: find_best_action(state, config.lookahead, env))
+    return env.rollout(lambda state, _: find_best_action(state, lookahead, env))
 
 
 def sample_action_neighborhood(
@@ -242,9 +206,10 @@ def sample_action_neighborhood(
 
 
 def subsampled_tree_search(
-    s0: SystemState, config: SearchConfig, env: UnitCommitmentMDP
+    lookahead: int, sample_count: int, decay: float, seed: int, env: UnitCommitmentMDP
 ) -> ScheduleSolution:
-    """Tree search with per-node action sub-sampling.
+    """Tree search with ``sample_count`` candidates per node, drawn by
+    ``sample_action_neighborhood`` with weights ``decay**hamming_distance``.
 
     The root candidates at hour t are anchored on the action committed at
     t-1 (at t=0: the on/off sign pattern of the initial state); deeper
@@ -252,33 +217,35 @@ def subsampled_tree_search(
     candidate evaluates under an RNG stream derived from (seed, t, index),
     so a pruned root candidate changes no other candidate's draws.
     """
-    if config.subsample is None:
-        raise ValueError("subsampled_tree_search requires a subsample config")
-    cfg = config.subsample
-    depth = config.lookahead
-    first_anchor = env._int_of(1 if st > 0 else 0 for st in s0.status)
+    if lookahead < 1:
+        raise ValueError("lookahead must be >= 1")
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    if not 0.0 < decay < 1.0:
+        raise ValueError("decay must lie in (0, 1)")
+    first_anchor = env._int_of(1 if st > 0 else 0 for st in env.initial_state().status)
 
     def choose(state, previous):
         t = state.hour
         anchor = first_anchor if previous is None else env._int_of(previous)
-        root_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
+        root_rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         cands = sample_action_neighborhood(
-            anchor, state.status, t, cfg.sample_count, cfg.decay, root_rng, env
+            anchor, state.status, t, sample_count, decay, root_rng, env
         )
         if not cands:
             raise NoFeasibleActionError(f"no feasible action at hour {t}")
 
         def expand_for(k):
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, k]))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, k]))
 
             def expand(status, hour, anchor):
                 return sample_action_neighborhood(
-                    anchor, status, hour, cfg.sample_count, cfg.decay, rng, env
+                    anchor, status, hour, sample_count, decay, rng, env
                 )
 
             return expand
 
-        k, value = _best_root(env, state, cands, depth, expand_for, False)
+        k, value = _best(env, state.status, t, lookahead, cands, expand_for, True, False)
         return env._bits_of(cands[k]), value
 
-    return env.rollout(s0, choose)
+    return env.rollout(choose)

@@ -13,8 +13,6 @@ import numpy as np
 
 from ucplan import (
     NoFeasibleActionError,
-    SearchConfig,
-    SubsampleConfig,
     SystemState,
     UnitCommitmentMDP,
     approximate_policy_iteration,
@@ -58,7 +56,7 @@ def test_criterion_2_tree_search_is_exact_at_full_depth():
         inst = gen_instance(3, 6, seed)
         env = UnitCommitmentMDP(inst)
         best = exhaustive_optimum(env)
-        tree = tree_search_policy(env.initial_state(), SearchConfig(6), env)
+        tree = tree_search_policy(6, env)
         assert tree.objective == best.objective
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -77,7 +75,7 @@ def test_criterion_3_back_sweep_is_exact_under_full_sampling():
             env.horizon,
         )
         slices = evaluate_states(space, anchor, env, np.random.default_rng(seed))
-        sweep = greedy_policy(slices, env.initial_state(), env)
+        sweep = greedy_policy(slices, env)
         assert sweep.objective == best.objective
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -151,11 +149,10 @@ def test_criterion_5_bundled_day_solves_quickly_with_one_hour_lookahead():
 def test_criterion_6_subsampling_stays_within_one_percent_of_full_search():
     inst = load_instance(INSTANCES / "n8_t24.json")
     env = UnitCommitmentMDP(inst)
-    full = tree_search_policy(env.initial_state(), SearchConfig(3), env)
+    full = tree_search_policy(3, env)
     gaps = []
     for seed in range(5):
-        config = SearchConfig(3, subsample=SubsampleConfig(64, 0.5, seed))
-        sub = subsampled_tree_search(env.initial_state(), config, env)
+        sub = subsampled_tree_search(3, 64, 0.5, seed, env)
         assert sub.objective >= full.objective
         gap = (sub.objective - full.objective) / full.objective
         assert gap <= 0.01

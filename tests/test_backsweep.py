@@ -357,7 +357,7 @@ class TestGreedyPolicy:
             vs = evaluate_states(
                 48**2, terminal_anchor(env), env, np.random.default_rng(0)
             )
-            sol = greedy_policy(vs, env.initial_state(), env)
+            sol = greedy_policy(vs, env)
             assert sol.objective == exhaustive_optimum(env).objective
 
     def test_single_step_reduces_to_reward_argmax(self):
@@ -365,13 +365,13 @@ class TestGreedyPolicy:
         inst = make_instance(gens, demand=[50.0], reserve=[5.0])
         env = UnitCommitmentMDP(inst)
         vs = evaluate_states(3, SystemState((3,), 1), env, np.random.default_rng(0))
-        sol = greedy_policy(vs, env.initial_state(), env)
+        sol = greedy_policy(vs, env)
         assert sol.actions == ((1,),)
 
     def test_deterministic_given_fixed_inputs(self):
         inst = gen_instance(3, 5, 7)
         env = UnitCommitmentMDP(inst)
         vs = evaluate_states(30, terminal_anchor(env), env, np.random.default_rng(2))
-        a = greedy_policy(vs, env.initial_state(), env)
-        b = greedy_policy(vs, env.initial_state(), env)
+        a = greedy_policy(vs, env)
+        b = greedy_policy(vs, env)
         assert a == b

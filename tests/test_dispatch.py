@@ -228,6 +228,46 @@ def fleets(draw):
     return gens
 
 
+@st.composite
+def dispatch_cases(draw):
+    """A ``fleets()`` fleet, a non-empty committed set and a demand the set
+    limits admit."""
+    gens = draw(fleets())
+    action = tuple(draw(st.lists(st.integers(0, 1), min_size=len(gens), max_size=len(gens))))
+    assume(any(action))
+    committed = [g for g, bit in zip(gens, action) if bit]
+    demand = draw(st.floats(sum(g.p_min for g in committed), sum(g.p_max for g in committed)))
+    return gens, action, demand
+
+
+# one unit a=0.01, b=8, p 0..1: a price step of one ulp moves it by about
+# 9e-14 MW, more than 1e-9 of these demands
+SMALL_QUADRATIC = [make_gen(id=0, a=0.01, b=8.0, p_min=0.0, p_max=1.0)]
+
+
+class TestBalanceOverFleets:
+    @settings(max_examples=300, deadline=None)
+    @given(case=dispatch_cases())
+    @example(case=(SMALL_QUADRATIC, (1,), 1e-9))
+    @example(case=(SMALL_QUADRATIC, (1,), 1e-14))
+    @example(case=(SMALL_QUADRATIC, (1,), 1e-6))
+    @example(case=(
+        [
+            make_gen(id=0, a=0.0, b=8.0, p_min=0.0, p_max=0.0),
+            make_gen(id=1, a=0.0, b=8.0, p_min=0.0, p_max=0.0),
+            make_gen(id=2, a=0.01, b=8.0, p_min=0.0, p_max=1.0),
+        ],
+        (0, 0, 1),
+        2.437e-67,
+    ))
+    def test_balance_and_kkt(self, case):
+        gens, action, demand = case
+        result = economic_dispatch(action, demand, gens)
+        assert abs(fsum(result.power) - demand) <= 1e-9 * demand
+        # the harness audit's bound
+        assert kkt_violation(result, gens, action) <= max(1e-6, 2e-9 * abs(result.lam))
+
+
 class TestBatchedDispatch:
     """``dispatch_costs`` must equal the scalar solver's costs bit for bit."""
 

@@ -353,12 +353,12 @@ class TestScheduleCost:
 
     def test_objective_equals_independent_cost_recompute(self):
         # Eq-style recompute from the dispatch sequence alone, exact
-        from ucplan import SearchConfig, tree_search_policy
+        from ucplan import tree_search_policy
 
         for seed in range(5):
             inst = gen_instance(3, 6, seed)
             env = UnitCommitmentMDP(inst)
-            plan = tree_search_policy(env.initial_state(), SearchConfig(env.horizon), env).actions
+            plan = tree_search_policy(env.horizon, env).actions
             sol = env.replay(plan)
             gen_atoms, start_atoms = [], []
             state = env.initial_state()

@@ -3,7 +3,6 @@ import pytest
 
 from ucplan import (
     NoFeasiblePlanError,
-    SearchConfig,
     SystemState,
     TooLargeError,
     UnitCommitmentMDP,
@@ -54,7 +53,7 @@ class TestExhaustiveOptimum:
             inst = gen_instance(3, 6, seed)
             env = UnitCommitmentMDP(inst)
             best = exhaustive_optimum(env)
-            tree = tree_search_policy(env.initial_state(), SearchConfig(6), env)
+            tree = tree_search_policy(6, env)
             assert tree.objective == best.objective
 
     def test_enumeration_bound(self):

@@ -8,8 +8,6 @@ import pytest
 from ucplan import (
     NoFeasibleActionError,
     ProblemInstance,
-    SearchConfig,
-    SubsampleConfig,
     SystemState,
     UnitCommitmentMDP,
     exhaustive_optimum,
@@ -50,7 +48,7 @@ class TestFindBestAction:
         inst = gen_instance(3, 6, seed=11)
         env = UnitCommitmentMDP(inst)
         best = exhaustive_optimum(env)
-        sol = tree_search_policy(env.initial_state(), SearchConfig(6), env)
+        sol = tree_search_policy(6, env)
         assert sol.objective == best.objective
 
     def test_zero_lookahead_rejected(self, two_unit_instance):
@@ -87,7 +85,7 @@ class TestTreeSearchPolicy:
         gens = [make_gen(id=0, p_min=5.0, p_max=120.0)]
         inst = make_instance(gens, demand=[50.0], reserve=[5.0])
         env = UnitCommitmentMDP(inst)
-        sol = tree_search_policy(env.initial_state(), SearchConfig(1), env)
+        sol = tree_search_policy(1, env)
         action, value = find_best_action(env.initial_state(), 1, env)
         assert sol.actions == (action,)
         assert sol.step_values == (value,)
@@ -99,7 +97,7 @@ class TestTreeSearchPolicy:
             inst = gen_instance(3, 6, seed)
             env = UnitCommitmentMDP(inst)
             best = exhaustive_optimum(env)
-            sol = tree_search_policy(env.initial_state(), SearchConfig(5), env)
+            sol = tree_search_policy(5, env)
             assert sol.objective == best.objective
 
     def test_one_hour_lookahead_walks_into_a_restart_bill(self):
@@ -113,8 +111,8 @@ class TestTreeSearchPolicy:
         ]
         inst = make_instance(gens, demand=[60.0, 150.0, 150.0], reserve=[5.0] * 3)
         env = UnitCommitmentMDP(inst)
-        full = tree_search_policy(env.initial_state(), SearchConfig(3), env)
-        short = tree_search_policy(env.initial_state(), SearchConfig(1), env)
+        full = tree_search_policy(3, env)
+        short = tree_search_policy(1, env)
         assert short.objective > full.objective
 
     def test_myopia_costs_money(self):
@@ -122,9 +120,9 @@ class TestTreeSearchPolicy:
         for seed in (0, 3, 8):
             inst = gen_instance(3, 6, seed)
             env = UnitCommitmentMDP(inst)
-            full = tree_search_policy(env.initial_state(), SearchConfig(6), env)
+            full = tree_search_policy(6, env)
             try:
-                shallow = tree_search_policy(env.initial_state(), SearchConfig(1), env)
+                shallow = tree_search_policy(1, env)
             except NoFeasibleActionError:
                 continue  # walked into a dead end: counts as worse
             assert shallow.objective >= full.objective
@@ -141,27 +139,21 @@ class TestTreeSearchPolicy:
         inst = make_instance(gens, demand=[40.0, 40.0, 150.0], reserve=[0.0, 0.0, 0.0])
         env = UnitCommitmentMDP(inst)
         with pytest.raises(NoFeasibleActionError) as err:
-            tree_search_policy(env.initial_state(), SearchConfig(1), env)
+            tree_search_policy(1, env)
         assert err.value.step == 2
         # one more hour of lookahead sees the trap
-        assert tree_search_policy(env.initial_state(), SearchConfig(2), env).actions[0] == (1, 1)
+        assert tree_search_policy(2, env).actions[0] == (1, 1)
 
     def test_lookahead_sees_a_dead_end_one_hour_past_the_cutoff(self):
         inst = gen_instance(3, 4, 1)
         env = UnitCommitmentMDP(inst)
-        deep = tree_search_policy(env.initial_state(), SearchConfig(4), env)
+        deep = tree_search_policy(4, env)
         for lookahead in (1, 2):
-            plan = tree_search_policy(env.initial_state(), SearchConfig(lookahead), env)
+            plan = tree_search_policy(lookahead, env)
             assert plan.objective == deep.objective
-        config = SearchConfig(1, SubsampleConfig(64, 0.5))
-        assert subsampled_tree_search(env.initial_state(), config, env).objective == deep.objective
+        assert subsampled_tree_search(1, 64, 0.5, 0, env).objective == deep.objective
         # the back sweep's default warm start is tree H=1
         assert run(inst, "backsweep").objective == deep.objective
-
-    def test_starts_only_from_hour_zero(self, two_unit_instance):
-        env = UnitCommitmentMDP(two_unit_instance)
-        with pytest.raises(ValueError):
-            tree_search_policy(SystemState((3, 3), 1), SearchConfig(1), env)
 
 
 def cutoff_reference(env, status, hour, aints):
@@ -196,7 +188,7 @@ class TestCutoffMax:
             return self.check(env, status, hour, aints)
 
         monkeypatch.setattr(treesearch, "_cutoff_best", checked)
-        tree_search_policy(env.initial_state(), SearchConfig(lookahead), env)
+        tree_search_policy(lookahead, env)
         return seen
 
     def test_every_cutoff_node_of_the_bundled_n8_search(self, monkeypatch):
@@ -442,12 +434,11 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("lookahead", [2, 3])
     def test_tree_sub_root_pruning_keeps_the_plan(self, monkeypatch, lookahead):
         inst = load_instance(INSTANCES / "n8_t24.json")
-        config = SearchConfig(lookahead, SubsampleConfig(64, 0.5))
         env = UnitCommitmentMDP(inst)
-        pruned = subsampled_tree_search(env.initial_state(), config, env)
+        pruned = subsampled_tree_search(lookahead, 64, 0.5, 0, env)
         env = UnitCommitmentMDP(inst)
         monkeypatch.setattr(env, "reward_bound", lambda hour: math.inf)
-        full = subsampled_tree_search(env.initial_state(), config, env)
+        full = subsampled_tree_search(lookahead, 64, 0.5, 0, env)
         assert pruned.actions == full.actions
         assert repr(pruned.step_values) == repr(full.step_values)
 
@@ -532,10 +523,9 @@ class TestSubsampledTreeSearch:
     def test_exhaustive_sampling_recovers_full_search(self):
         inst = gen_instance(3, 6, seed=5)
         env = UnitCommitmentMDP(inst)
-        full = tree_search_policy(env.initial_state(), SearchConfig(3), env)
+        full = tree_search_policy(3, env)
         for seed in (0, 7):
-            cfg = SearchConfig(3, subsample=SubsampleConfig(8, 0.5, seed))
-            sub = subsampled_tree_search(env.initial_state(), cfg, env)
+            sub = subsampled_tree_search(3, 8, 0.5, seed, env)
             assert sub.actions == full.actions
             assert sub.objective == full.objective
 
@@ -543,10 +533,9 @@ class TestSubsampledTreeSearch:
         for seed in range(5):
             inst = gen_instance(3, 6, seed=20 + seed)
             env = UnitCommitmentMDP(inst)
-            full = tree_search_policy(env.initial_state(), SearchConfig(3), env)
-            cfg = SearchConfig(3, subsample=SubsampleConfig(2, 0.5, seed))
+            full = tree_search_policy(3, env)
             try:
-                sub = subsampled_tree_search(env.initial_state(), cfg, env)
+                sub = subsampled_tree_search(3, 2, 0.5, seed, env)
             except NoFeasibleActionError:
                 continue
             assert sub.objective >= full.objective
@@ -554,26 +543,29 @@ class TestSubsampledTreeSearch:
     def test_fixed_seed_reproduces_solution(self):
         inst = gen_instance(4, 6, seed=1)
         env = UnitCommitmentMDP(inst)
-        cfg = SearchConfig(2, subsample=SubsampleConfig(4, 0.5, 12))
-        a = subsampled_tree_search(env.initial_state(), cfg, env)
-        b = subsampled_tree_search(env.initial_state(), cfg, env)
+        a = subsampled_tree_search(2, 4, 0.5, 12, env)
+        b = subsampled_tree_search(2, 4, 0.5, 12, env)
         assert a == b
-
-    def test_requires_subsample_config(self, two_unit_instance):
-        env = UnitCommitmentMDP(two_unit_instance)
-        with pytest.raises(ValueError):
-            subsampled_tree_search(env.initial_state(), SearchConfig(2), env)
 
 
 class TestConfigValidation:
-    def test_rejects_bad_lookahead(self):
+    def test_rejects_bad_lookahead(self, two_unit_instance):
+        env = UnitCommitmentMDP(two_unit_instance)
         with pytest.raises(ValueError):
-            SearchConfig(0)
+            tree_search_policy(0, env)
+        with pytest.raises(ValueError):
+            subsampled_tree_search(0, 4, 0.5, 0, env)
 
-    def test_rejects_bad_decay(self):
+    def test_rejects_bad_decay(self, two_unit_instance):
+        env = UnitCommitmentMDP(two_unit_instance)
         with pytest.raises(ValueError):
-            SubsampleConfig(4, 0.0)
+            subsampled_tree_search(2, 4, 0.0, 0, env)
         with pytest.raises(ValueError):
-            SubsampleConfig(4, 1.0)
+            subsampled_tree_search(2, 4, 1.0, 0, env)
         with pytest.raises(ValueError):
-            SubsampleConfig(0, 0.5)
+            subsampled_tree_search(2, 0, 0.5, 0, env)
+
+    @pytest.mark.parametrize("algorithm", ["tree", "tree-sub"])
+    def test_run_rejects_zero_lookahead(self, two_unit_instance, algorithm):
+        with pytest.raises(ValueError):
+            run(two_unit_instance, algorithm, lookahead=0)
