@@ -127,8 +127,8 @@ def _balance_quadratic(powers, lam, tol_b, demand, committed):
     the bisection's tolerance, so the bracket can collapse with no linear
     unit to take up the rest.  The residual is shared along the
     equal-incremental-cost line among the units that can move toward it,
-    again while one stops at a bound or rounding leaves a remainder; each
-    marginal cost moves by one price shift, about an ulp of ``lam``.
+    so all their marginal costs shift by one small price step, and shared
+    again while one stops at a bound or rounding leaves a remainder.
     """
     resid = demand - fsum(powers)
     for _ in range(len(committed) + 1):

@@ -103,11 +103,11 @@ def _best(
     one's reward plus the ``_search`` value of its child, or
     ``_cutoff_best`` when the children are leaves.
 
-    Child k expands with ``expand_for(k)`` and walks with ``prune``.  With
-    ``ordered``, the candidates go in descending reward against the
-    children's ``_tail_bound`` (``_bounded_best``); without it, every one
-    is scored in the order given.  Candidates ascend by action, so taking
-    the lowest index among equal values breaks ties toward the
+    Child k is searched by ``_search`` with ``expand_for(k)`` and
+    ``prune``.  With ``ordered``, the candidates go in descending reward
+    against the children's ``_tail_bound`` (``_bounded_best``); without it,
+    every one is scored in the order given.  Candidates ascend by action,
+    so taking the lowest index among equal values breaks ties toward the
     lexicographically smallest action.
     """
     if _at_cutoff(env, hour, depth):
