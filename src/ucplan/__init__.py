@@ -51,6 +51,7 @@ from .errors import (
     NoFeasibleActionError,
     NoFeasiblePlanError,
     OutOfBoundsError,
+    SamplingWeightUnderflowError,
     TooLargeError,
     UnitCommitmentError,
 )

@@ -35,13 +35,21 @@ search prunes only among root candidates: each draws from its own RNG
 stream, created when it is expanded, so skipping one changes no other,
 while inner nodes share their root candidate's stream and keep every
 draw in order.
+
+A neighbourhood sample is drawn by ``_draw``: numpy's successive-sampling
+law for ``Generator.choice(replace=False, p=...)`` written out over Python
+lists.  It takes the same uniforms, so it makes the same picks in the same
+order and leaves the generator where ``choice`` would; tree-sub plans
+depend only on ``Generator.random``'s stream.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
 from math import inf
 
 import numpy as np
 
-from .errors import NoFeasibleActionError
+from .errors import NoFeasibleActionError, SamplingWeightUnderflowError
 from .mdp import BIG, CommitmentAction, ScheduleSolution, SystemState, UnitCommitmentMDP
 
 
@@ -174,6 +182,41 @@ def tree_search_policy(lookahead: int, env: UnitCommitmentMDP) -> ScheduleSoluti
     return env.rollout(lambda state, _: find_best_action(state, lookahead, env))
 
 
+def _draw(w: np.ndarray, size: int, rng: np.random.Generator) -> list[int]:
+    """``size`` distinct indices drawn from weights ``w`` in the order
+    ``rng.choice(len(w), size, replace=False, p=w / w.sum())`` picks them,
+    with the same uniforms taken from ``rng``.
+
+    Each round draws one uniform per index still missing, zeroes the
+    weights found so far, maps each uniform through the left-to-right cdf
+    (``searchsorted(side="right")``) and keeps the first hit of each new
+    index.  Raises ``SamplingWeightUnderflowError`` when fewer than
+    ``size`` weights are non-zero.
+    """
+    total = w.sum()
+    p = w / total if total > 0 else w
+    nonzero = np.count_nonzero(p)
+    if nonzero < size:
+        raise SamplingWeightUnderflowError(
+            f"only {nonzero} of {len(p)} sampling weights rho**d are non-zero"
+            f" for {size} draws; rho is too small"
+        )
+    p = p.tolist()
+    found: list[int] = []
+    while len(found) < size:
+        x = rng.random(size - len(found)).tolist()
+        for i in found:
+            p[i] = 0.0
+        cdf = list(accumulate(p))
+        last = cdf[-1]
+        cdf = [c / last for c in cdf]
+        for u in x:
+            i = bisect_right(cdf, u)
+            if i not in found:
+                found.append(i)
+    return found
+
+
 def sample_action_neighborhood(
     anchor: int,
     status,
@@ -189,7 +232,9 @@ def sample_action_neighborhood(
     Hamming distance (popcount of the XOR) to the anchor; the anchor, or
     its nearest feasible projection with ties to the smallest action, is
     always kept.  Returns the whole feasible set when ``sample_count``
-    covers it, the empty list from a catastrophe state.
+    covers it, the empty list from a catastrophe state.  Raises
+    ``SamplingWeightUnderflowError`` when decay**d underflows to 0.0 for
+    so many actions that fewer non-zero weights are left than draws.
     """
     feas = env._feasible_ints(status, hour)
     if not feas:
@@ -201,8 +246,8 @@ def sample_action_neighborhood(
         return [feas[nearest]]
     rest = [i for i in range(len(feas)) if i != nearest]
     w = np.array([decay ** dist[i] for i in rest])
-    picked = rng.choice(np.array(rest), size=take - 1, replace=False, p=w / w.sum())
-    return [feas[i] for i in sorted({nearest, *picked.tolist()})]
+    picked = _draw(w, take - 1, rng)
+    return [feas[i] for i in sorted({nearest, *(rest[j] for j in picked)})]
 
 
 def subsampled_tree_search(

@@ -433,6 +433,18 @@ class TestCli:
         assert any(word in err[0] for word in bad)
         assert not (tmp_path / "out").exists()
 
+    def test_underflowing_rho_gives_one_error_line(self, tmp_path, capsys):
+        """rho**d underflows to 0.0 on eight units at rho 1e-60, leaving
+        fewer non-zero sampling weights than draws."""
+        out = tmp_path / "out"
+        assert uc_main([
+            "solve", "-i", str(INSTANCES / "n8_t24.json"), "--algo", "tree-sub",
+            "-H", "1", "-K", "64", "--rho", "1e-60", "-o", str(out),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "rho" in err[0]
+        assert not out.exists()
+
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         inst_path = tmp_path / "tiny.json"
         uc_main(["gen", "-N", "3", "-T", "6", "--seed", "1", "-o", str(inst_path)])

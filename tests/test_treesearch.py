@@ -8,6 +8,7 @@ import pytest
 from ucplan import (
     NoFeasibleActionError,
     ProblemInstance,
+    SamplingWeightUnderflowError,
     SystemState,
     UnitCommitmentMDP,
     exhaustive_optimum,
@@ -517,6 +518,79 @@ class TestSampleActionNeighborhood:
         env = UnitCommitmentMDP(inst)
         rng = np.random.default_rng(0)
         assert self.sample((1,), SystemState((-1,), 0), 2, 0.5, rng, env) == []
+
+
+class TestDraw:
+    """``treesearch._draw`` against the ``Generator.choice`` call it writes
+    out: the same picks in the same order, and the generator left where
+    ``choice`` leaves it."""
+
+    @staticmethod
+    def assert_matches_choice(w, size, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = treesearch._draw(w, size, ours)
+        want = theirs.choice(len(w), size, replace=False, p=w / w.sum())
+        assert picks == want.tolist(), (w, size, seed)
+        assert ours.random() == theirs.random(), (w, size, seed)
+
+    def test_matches_choice_for_every_population_and_size(self):
+        meta = np.random.default_rng(2024)
+        for n in range(1, 41):
+            decay = meta.uniform(0.1, 0.9)
+            hamming = decay ** meta.integers(1, 13, n).astype(float)
+            tied = np.full(n, decay)
+            for w in (hamming, tied):
+                for size in range(1, n + 1):
+                    self.assert_matches_choice(w, size, int(meta.integers(1 << 31)))
+
+    def test_matches_choice_past_zero_weights(self):
+        meta = np.random.default_rng(7)
+        for n in range(2, 41):
+            w = meta.random(n)
+            w[meta.random(n) < 0.4] = 0.0
+            w[0] = 0.5  # keep at least one non-zero weight
+            for size in range(1, np.count_nonzero(w) + 1):
+                self.assert_matches_choice(w, size, int(meta.integers(1 << 31)))
+
+    def test_a_uniform_on_a_cdf_step_maps_as_searchsorted_right(self):
+        """Uniforms that land exactly on a cdf value, which a seeded draw
+        almost never gives, fed in through a stub generator."""
+
+        class Uniforms:
+            def __init__(self, values):
+                self.values = values
+
+            def random(self, k):
+                out, self.values = self.values[:k], self.values[k:]
+                return np.array(out)
+
+        w = np.array([1.0, 1.0, 2.0])
+        cdf = np.cumsum(w / w.sum())
+        for u in (0.0, *cdf[:-1]):
+            want = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+            assert treesearch._draw(w, 1, Uniforms([u])) == [want]
+
+    @pytest.mark.parametrize(
+        "w, size",
+        [
+            ([1.0, 0.0, 0.0], 2),
+            ([0.0, 0.0], 1),
+            # 5e-324 / 3.0 rounds to 0.0 in p although its weight is non-zero
+            ([1.0, 1.0, 1.0, 5e-324], 4),
+        ],
+        ids=["fewer-non-zero", "all-zero", "zero-after-normalising"],
+    )
+    def test_too_few_non_zero_weights_raise(self, w, size):
+        rng = np.random.default_rng(0)
+        with pytest.raises(SamplingWeightUnderflowError, match="rho"):
+            treesearch._draw(np.array(w), size, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_underflowing_rho_raises_and_a_small_one_solves(self):
+        env = UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json"))
+        with pytest.raises(SamplingWeightUnderflowError, match="rho"):
+            subsampled_tree_search(1, 64, 1e-60, 0, env)
+        assert len(subsampled_tree_search(1, 64, 1e-40, 0, env).actions) == env.horizon
 
 
 class TestSubsampledTreeSearch:
