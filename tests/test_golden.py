@@ -3,24 +3,38 @@
 The small-instance digests were recorded before the reward kernel was
 unified, the bundled-instance tree ones before dispatch was batched (the
 two deepest, ``n8_t24`` at H=4 and ``n12_t24`` at H=3, before the tree
-searches pruned against a reward bound), and the bundled-instance
-tree-sub ones before the two search recursions were merged, and the
-17-unit ones before fleets above 16 units lost their own feasible-set
-path to the one action table.  Each digest
-covers a solver's emitted ``schedule.csv`` text plus the ``repr`` of its
-per-hour step values, so a change in the last bit of any value the search
-reports fails here.  The small solver instance has a multi-start-up hour
-in all three plans; the oracle instance starts both units off, and its
-optimum starts both in hour 0.  Never re-record these to make a refactor
-pass: a mismatch is a behaviour change.
+searches pruned against a reward bound), the bundled-instance tree-sub
+ones before the two search recursions were merged, the 17-unit ones
+before fleets above 16 units lost their own feasible-set path to the one
+action table, and the API baseline's before its features went through
+the MDP's shared dead-end predicate.  Each tree, tree-sub and back-sweep
+digest covers a solver's emitted ``schedule.csv`` text plus the ``repr``
+of its per-hour step values, so a change in the last bit of any value
+the search reports fails here.  The small solver instance has a
+multi-start-up hour in all three plans; the oracle instance starts both
+units off, and its optimum starts both in hour 0.  The API baseline's
+plan digest covers its ``schedule.csv`` text plus the ``repr`` of its
+objective, and a second digest the bytes of one SARSA evaluation's
+weights.  Its step values are left out, so that they can carry the
+baseline's own Q estimates in place of None.  Never re-record these to
+make a refactor pass: a mismatch is a behaviour change.
 """
 
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ucplan import ProblemInstance, UnitCommitmentMDP, exact_dp, exhaustive_optimum, gen_instance
+from ucplan import (
+    PerceptronTreePolicy,
+    ProblemInstance,
+    UnitCommitmentMDP,
+    exact_dp,
+    exhaustive_optimum,
+    gen_instance,
+    sarsa_evaluate,
+)
 from ucplan.harness import load_instance, run, schedule_csv_text
 
 from conftest import INSTANCES
@@ -73,6 +87,12 @@ LARGE_FLEET_DIGESTS = {
     ),
 }
 
+# API baseline on ``gen_instance(6, 24, 1)``: seed 0, 3 iterations of 200
+# episodes; the weights are one ``sarsa_evaluate`` (alpha 0.01, epsilon 0.1,
+# 200 episodes, generator seed 0) of a fresh tree policy
+API_PLAN_DIGEST = "4758d01debcc2ef8ca89c02f23ec6187b21652cba66feb94fc8c0c16e091042b"
+API_WEIGHTS_DIGEST = "61be3b675fce487f87fdbb84185347aa980f0320eaa37533d1b987965fe487bb"
+
 EXACT_DP_DIGEST = "943382c9e6e6612749be0b1d92b2722568b78274a990ebe9ccb336186013ae5b"
 
 
@@ -118,6 +138,19 @@ def test_large_fleet_plans_are_unchanged(algo):
     kwargs, digest = LARGE_FLEET_DIGESTS[algo]
     sol = run(inst, algo, **kwargs).solution
     assert sha256(schedule_csv_text(sol, inst) + repr(sol.step_values)) == digest
+
+
+def test_api_plan_is_unchanged():
+    inst = gen_instance(6, 24, 1)
+    sol = run(inst, "api", seed=0, api_iterations=3, api_episodes=200).solution
+    assert sha256(schedule_csv_text(sol, inst) + repr(sol.objective)) == API_PLAN_DIGEST
+
+
+def test_api_sarsa_weights_are_unchanged():
+    env = UnitCommitmentMDP(gen_instance(6, 24, 1))
+    policy = PerceptronTreePolicy(env.horizon, env.n_units)
+    w = sarsa_evaluate(policy, 0.01, 0.1, 200, np.random.default_rng(0), env)
+    assert hashlib.sha256(w.tobytes()).hexdigest() == API_WEIGHTS_DIGEST
 
 
 def test_exhaustive_plan_is_unchanged():
