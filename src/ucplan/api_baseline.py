@@ -7,7 +7,10 @@ inside the min-up window / settled on).  That 4N block is repeated once
 per unit and zeroed where the action leaves the unit off, giving 4N^2
 action-gated entries, and the whole block lands in one of two halves
 depending on whether the action's successor state is a catastrophe:
-8N^2 entries total, quadratic in the fleet size.
+8N^2 entries total, quadratic in the fleet size.  Features are indexed
+once per state, each action's half by the MDP's ``child_dead_end``.  The
+plan is read out by ``UnitCommitmentMDP.rollout``, each hour's step value
+the last SARSA evaluation's Q estimate of the committed action.
 
 This method is a small-scale baseline: the per-hour policies start out
 uninformed and improve slowly, so it is only expected to produce good
@@ -20,64 +23,58 @@ from .errors import NoFeasibleActionError
 from .mdp import BIG, CommitmentAction, ScheduleSolution, SystemState, UnitCommitmentMDP
 
 
-def _zone(status_i: int, t_up: int, t_down: int) -> int:
-    if status_i < -t_down:
-        return 0
-    if status_i < 0:
-        return 1
-    if status_i <= t_up:
-        return 2
-    return 3
-
-
-def _zones(state: SystemState, env: UnitCommitmentMDP) -> tuple[int, ...]:
-    return tuple(
-        _zone(st, env._t_up[i], env._t_down[i]) for i, st in enumerate(state.status)
-    )
+def _zone_index(status, env: UnitCommitmentMDP) -> list[int]:
+    """Each unit's entry ``4*i + zone`` in its 4-entry block."""
+    return [
+        4 * i + (0 if st < -t_down else 1 if st < 0 else 2 if st <= t_up else 3)
+        for i, (st, t_up, t_down) in enumerate(zip(status, env._t_up, env._t_down))
+    ]
 
 
 def feature_dim(n_units: int) -> int:
     return 8 * n_units * n_units
 
 
-def _feature_indices(state, action, env) -> list[int]:
-    """Indices of the active entries of the feature vector (all ones)."""
+def _indexer(status, hour: int, env: UnitCommitmentMDP):
+    """Map a bit-packed action from ``status`` at ``hour`` to whether its
+    child is a dead end and the active entries of its feature vector."""
     n = env.n_units
-    zones = _zones(state, env)
-    child = SystemState(env._advance(state.status, action), state.hour + 1)
-    half = 4 * n * n if env.is_catastrophe(child) else 0
-    idx = []
-    for j, bit in enumerate(action):
-        if bit:
-            base = half + 4 * n * j
-            idx.extend(base + 4 * i + zones[i] for i in range(n))
-    return idx
+    zidx = _zone_index(status, env)
+    dead_end = env.child_dead_end(status, hour)
+
+    def index(aint: int) -> tuple[bool, list[int]]:
+        dead = dead_end(aint)
+        half = 4 * n * n if dead else 0
+        idx = []
+        for j, m in enumerate(env._mask):
+            if aint & m:
+                base = half + 4 * n * j
+                idx += [base + z for z in zidx]
+        return dead, idx
+
+    return index
 
 
 def features(state: SystemState, action, env: UnitCommitmentMDP) -> np.ndarray:
     """Binary feature vector of dimension 8*N^2 for one (state, action)."""
     phi = np.zeros(feature_dim(env.n_units))
-    phi[_feature_indices(state, action, env)] = 1.0
+    phi[_indexer(state.status, state.hour, env)(env._int_of(action))[1]] = 1.0
     return phi
 
 
 def _q_score(w_t: np.ndarray, state, action, env) -> float:
-    idx = _feature_indices(state, action, env)
-    return float(w_t[idx].sum()) if idx else 0.0
+    idx = _indexer(state.status, state.hour, env)(env._int_of(action))[1]
+    return float(w_t[idx].sum())
 
 
 def greedy_action_from_q(w_t: np.ndarray, state: SystemState, env) -> CommitmentAction:
     """Feasible action maximizing the linear value estimate, lexicographic
     ties."""
-    feas = env.feasible_actions(state)
+    feas = env._feasible_ints(state.status, state.hour)
     if not feas:
         raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
-    best_a, best_v = feas[0], _q_score(w_t, state, feas[0], env)
-    for a in feas[1:]:
-        v = _q_score(w_t, state, a, env)
-        if v > best_v:
-            best_a, best_v = a, v
-    return best_a
+    index = _indexer(state.status, state.hour, env)
+    return env._bits_of(max(feas, key=lambda a: float(w_t[index(a)[1]].sum())))
 
 
 class PerceptronTreePolicy:
@@ -105,8 +102,7 @@ class PerceptronTreePolicy:
         return w
 
     def _raw_bits(self, state: SystemState, env) -> CommitmentAction:
-        zones = _zones(state, env)
-        zidx = [4 * i + z for i, z in enumerate(zones)]
+        zidx = _zone_index(state.status, env)
         bits: list[int] = []
         for _ in range(self.n_units):
             w = self._node(state.hour, tuple(bits))
@@ -126,8 +122,7 @@ class PerceptronTreePolicy:
 
     def update(self, state: SystemState, target: CommitmentAction, env) -> None:
         """Perceptron updates along the target's bit path."""
-        zones = _zones(state, env)
-        zidx = [4 * i + z for i, z in enumerate(zones)]
+        zidx = _zone_index(state.status, env)
         for d in range(self.n_units):
             w = self._node(state.hour, tuple(target[:d]))
             predicted = 1 if w[zidx].sum() >= 0.0 else 0
@@ -137,10 +132,10 @@ class PerceptronTreePolicy:
 
 def _behavior_action(policy, state, epsilon, rng, env) -> CommitmentAction:
     if epsilon > 0 and rng.random() < epsilon:
-        feas = env.feasible_actions(state)
+        feas = env._feasible_ints(state.status, state.hour)
         if not feas:
             raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
-        return feas[int(rng.integers(len(feas)))]
+        return env._bits_of(feas[int(rng.integers(len(feas)))])
     return policy.classify(state, env)
 
 
@@ -155,32 +150,30 @@ def _sarsa(policy, alpha, epsilon, episodes, rng, env):
     dim = feature_dim(env.n_units)
     w = np.zeros((env.horizon, dim))
     visited: list[dict[SystemState, None]] = [{} for _ in range(env.horizon)]
+    if env.is_catastrophe(env.initial_state()):
+        return w, visited
     for _ in range(episodes):
         state = env.initial_state()
-        if env.is_catastrophe(state):
-            break
         action = _behavior_action(policy, state, epsilon, rng, env)
+        dead, idx = _indexer(state.status, 0, env)(env._int_of(action))
         while True:
             t = state.hour
             visited[t].setdefault(state)
-            idx = _feature_indices(state, action, env)
-            q_sa = float(w[t, idx].sum()) if idx else 0.0
+            q_sa = float(w[t, idx].sum())
             r = env.reward(state, action)
-            nxt = SystemState(env._advance(state.status, action), t + 1)
-            if nxt.hour == env.horizon:
-                target = r
-            elif env.is_catastrophe(nxt):
-                # dead end: write the step down with the catastrophe penalty
-                target = r - BIG
+            # a dead end ends the episode with the catastrophe penalty
+            last = dead or t + 1 == env.horizon
+            if last:
+                target = r - BIG if dead else r
             else:
-                next_action = _behavior_action(policy, nxt, epsilon, rng, env)
-                nidx = _feature_indices(nxt, next_action, env)
-                target = r + (float(w[t + 1, nidx].sum()) if nidx else 0.0)
-            if idx:
-                w[t, idx] += alpha * (target - q_sa)
-            if nxt.hour == env.horizon or env.is_catastrophe(nxt):
+                state = SystemState(env._advance(state.status, action), t + 1)
+                action = _behavior_action(policy, state, epsilon, rng, env)
+                next_dead, next_idx = _indexer(state.status, t + 1, env)(env._int_of(action))
+                target = r + float(w[t + 1, next_idx].sum())
+            w[t, idx] += alpha * (target - q_sa)
+            if last:
                 break
-            state, action = nxt, next_action
+            dead, idx = next_dead, next_idx
     return w, visited
 
 
@@ -213,7 +206,8 @@ def approximate_policy_iteration(
     The improvement pass trains each hour's tree toward the value-greedy
     action on the states visited during that iteration's episodes (the
     full state space is unreachable).  Returns the final policy and the
-    schedule obtained by rolling it out greedily.
+    schedule obtained by rolling it out greedily, each hour's step value
+    the last evaluation's Q estimate of the committed action.
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
@@ -225,13 +219,8 @@ def approximate_policy_iteration(
                 best = greedy_action_from_q(w[t], state, env)
                 policy.update(state, best, env)
 
-    state = env.initial_state()
-    actions = []
-    for t in range(env.horizon):
-        try:
-            action = policy.classify(state, env)
-        except NoFeasibleActionError as err:
-            raise NoFeasibleActionError(str(err), step=t) from None
-        actions.append(action)
-        state = env.transition(state, action)
-    return policy, env.replay(actions)
+    def choose(state, _previous):
+        action = policy.classify(state, env)
+        return action, _q_score(w[state.hour], state, action, env)
+
+    return policy, env.rollout(choose)

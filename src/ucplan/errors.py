@@ -42,7 +42,8 @@ class EmptySliceError(UnitCommitmentError):
 
 
 class TooLargeError(UnitCommitmentError):
-    """Problem size exceeds an oracle's enumeration bound."""
+    """Problem size exceeds an oracle's enumeration bound, or a fleet's
+    table of all 2^N actions does not fit in memory."""
 
 
 class NoFeasiblePlanError(UnitCommitmentError):

@@ -26,7 +26,7 @@ from .core import (
     startup_cost,
 )
 from .dispatch import DispatchResult, check_set_limits, dispatch_costs, economic_dispatch
-from .errors import InfeasibleActionError, NoFeasibleActionError
+from .errors import InfeasibleActionError, NoFeasibleActionError, TooLargeError
 
 BIG = 1e12  # catastrophe penalty, dominates any real schedule cost
 
@@ -347,20 +347,29 @@ class UnitCommitmentMDP:
     def _feasible_for_locks(self, hour: int, lock_on: int, lock_off: int) -> tuple[int, ...]:
         """Actions at ``hour`` that keep these lock masks and pass the set
         limits, ascending; memoised per hour by the masks.  The first call
-        filters all 2^N actions by every hour's set limits."""
+        filters all 2^N actions by every hour's set limits, and raises
+        TooLargeError when that table does not fit in memory."""
         memo = self._feasible_memo[hour]
         key = lock_on << self.n_units | lock_off
         feas = memo.get(key)
         if feas is None:
             if self._acts_by_hour is None:
-                ints = np.arange(1 << self.n_units, dtype=np.int64)
-                lo, hi = _set_limit_sums(ints, self._mask, self._gens)
-                profile = self.instance.profile
-                self._acts_by_hour = [
-                    ints[(lo <= d) & (hi >= d + r)]
-                    for d, r in zip(profile.demand, profile.reserve)
-                ]
-                self._int_objects = ints.tolist()
+                n = self.n_units
+                try:
+                    ints = np.arange(1 << n, dtype=np.int64)
+                    lo, hi = _set_limit_sums(ints, self._mask, self._gens)
+                    self._int_objects = ints.tolist()
+                    profile = self.instance.profile
+                    # set last, so that a build that fails leaves no table
+                    self._acts_by_hour = [
+                        ints[(lo <= d) & (hi >= d + r)]
+                        for d, r in zip(profile.demand, profile.reserve)
+                    ]
+                except MemoryError:
+                    raise TooLargeError(
+                        f"N = {n} units: the table of 2**{n} = {1 << n} actions "
+                        "does not fit in memory"
+                    ) from None
             arr = self._acts_by_hour[hour]
             sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
             objects = self._int_objects

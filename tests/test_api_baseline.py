@@ -15,6 +15,8 @@ from ucplan import (
     greedy_action_from_q,
     sarsa_evaluate,
 )
+from ucplan import api_baseline
+from ucplan.api_baseline import _q_score
 from ucplan.mdp import BIG
 
 from conftest import make_gen, make_instance
@@ -29,6 +31,37 @@ def trap_env():
     ]
     inst = make_instance(gens, demand=[50.0, 120.0, 50.0], reserve=[0.0, 0.0, 0.0])
     return UnitCommitmentMDP(inst)
+
+
+def reference_indices(state, action, env):
+    """Active feature entries built the slow way: advance the counters to
+    the child state, then ask ``is_catastrophe`` of it."""
+    n = env.n_units
+    zones = []
+    for st, t_up, t_down in zip(state.status, env._t_up, env._t_down):
+        zones.append(0 if st < -t_down else 1 if st < 0 else 2 if st <= t_up else 3)
+    child = SystemState(env._advance(state.status, action), state.hour + 1)
+    half = 4 * n * n if env.is_catastrophe(child) else 0
+    idx = []
+    for j, bit in enumerate(action):
+        if bit:
+            idx.extend(half + 4 * n * j + 4 * i + zones[i] for i in range(n))
+    return idx
+
+
+def reference_greedy(w_t, state, env):
+    """First feasible action of the highest reference Q value."""
+    def q(action):
+        idx = reference_indices(state, action, env)
+        return float(w_t[idx].sum()) if idx else 0.0
+
+    feas = env.feasible_actions(state)
+    best_a, best_v = feas[0], q(feas[0])
+    for a in feas[1:]:
+        v = q(a)
+        if v > best_v:
+            best_a, best_v = a, v
+    return best_a
 
 
 # (alpha, epsilon, the rate named in the error)
@@ -93,6 +126,60 @@ class TestFeatures:
                 assert max(half) == 4 * sum(action)  # N zone bits per on-unit
 
 
+class TestAgainstTheChildStateReference:
+    """Features and greedy actions read dead ends off the parent's lock
+    masks; the reference builds every child state instead."""
+
+    @pytest.mark.parametrize("make_env", [lambda: UnitCommitmentMDP(gen_instance(5, 12, 3)),
+                                          trap_env], ids=["n5_t12", "trap"])
+    def test_features_and_greedy_actions_match(self, make_env):
+        env = make_env()
+        n = env.n_units
+        rng = np.random.default_rng(5)
+        actions = list(itertools.product((0, 1), repeat=n))
+        dead_ends = last_hours = states = 0
+        while states < 150:
+            status = tuple(int(v) for v in rng.choice([*range(-6, 0), *range(1, 7), -24, 24], n))
+            hour = env.horizon - 1 if states % 4 == 0 else int(rng.integers(env.horizon))
+            state = SystemState(status, hour)
+            for action in actions:
+                expected = np.zeros(feature_dim(n))
+                idx = reference_indices(state, action, env)
+                expected[idx] = 1.0
+                assert np.array_equal(features(state, action, env), expected)
+                dead_ends += bool(idx) and idx[0] >= 4 * n * n
+            if not env.feasible_actions(state):
+                continue
+            states += 1
+            last_hours += hour == env.horizon - 1
+            # real-valued weights, small integers (many ties) and all zeros
+            for w_t in (rng.normal(size=feature_dim(n)),
+                        rng.integers(-1, 2, size=feature_dim(n)).astype(float),
+                        np.zeros(feature_dim(n))):
+                assert greedy_action_from_q(w_t, state, env) == reference_greedy(w_t, state, env)
+        assert dead_ends > 0 and last_hours > 0
+
+    def test_step_values_are_the_last_evaluations_q_scores(self, monkeypatch):
+        env = UnitCommitmentMDP(gen_instance(4, 8, 1))
+        sarsa = api_baseline._sarsa
+        evaluations = []
+
+        def recording(*args):
+            w, visited = sarsa(*args)
+            evaluations.append(w.copy())
+            return w, visited
+
+        monkeypatch.setattr(api_baseline, "_sarsa", recording)
+        _, sol = approximate_policy_iteration(3, 0.01, 0.1, 100, np.random.default_rng(3), env)
+        assert len(evaluations) == 3
+        w = evaluations[-1]
+        expected = tuple(
+            _q_score(w[s.hour], s, a, env) for s, a in zip(sol.states, sol.actions)
+        )
+        assert sol.step_values == expected
+        assert any(expected)
+
+
 class TestGreedyActionFromQ:
     def test_zero_weights_pick_lexicographically_smallest(self, two_unit_instance):
         env = UnitCommitmentMDP(two_unit_instance)
@@ -146,8 +233,6 @@ class TestSarsa:
         policy = PerceptronTreePolicy(env.horizon, env.n_units)
         w = sarsa_evaluate(policy, 0.1, 0.0, 200, np.random.default_rng(0), env)
         s0 = env.initial_state()
-        from ucplan.api_baseline import _q_score
-
         q = _q_score(w[0], s0, (1,), env)
         true = env.reward(s0, (1,))
         assert abs(q - true) <= 0.01 * abs(true)

@@ -445,6 +445,28 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ") and "rho" in err[0]
         assert not out.exists()
 
+    def test_a_fleet_too_large_for_the_action_table_gives_one_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        inst_path = tmp_path / "n40.json"
+        assert uc_main(["gen", "-N", "40", "-T", "4", "--seed", "1", "-o", str(inst_path)]) == 0
+
+        def out_of_memory(*args):
+            raise MemoryError  # as numpy does for the 2**40-entry table
+
+        monkeypatch.setattr(ucplan.mdp, "_set_limit_sums", out_of_memory)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert uc_main([
+            "solve", "-i", str(inst_path), "--algo", "tree", "-H", "1", "-o", str(out),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: N = 40 units: the table of 2**40 = 1099511627776 actions "
+            "does not fit in memory"
+        ]
+        assert not out.exists()
+
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         inst_path = tmp_path / "tiny.json"
         uc_main(["gen", "-N", "3", "-T", "6", "--seed", "1", "-o", str(inst_path)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ucplan import (
     InfeasibleActionError,
     SystemState,
+    TooLargeError,
     UnitCommitmentMDP,
     check_set_limits,
     economic_dispatch,
@@ -18,6 +19,7 @@ from ucplan import (
     load_instance,
     startup_cost,
 )
+from ucplan import mdp
 from ucplan.core import STATUS_CAP
 from ucplan.mdp import all_statuses
 
@@ -240,6 +242,21 @@ class TestActionTable:
         env = env_for([make_gen(id=i) for i in range(20)], [1000.0] * 4, [100.0] * 4)
         assert env.replay([(1,) * 20] * 4).objective > 0
         assert env._acts_by_hour is None
+
+    def test_a_table_out_of_memory_is_too_large(self, monkeypatch):
+        # stands in for the 8 TiB table of 40 units that numpy cannot allocate
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(mdp, "_set_limit_sums", out_of_memory)
+        inst = gen_instance(3, 2, 1)
+        env = UnitCommitmentMDP(inst)
+        s0 = env.initial_state()
+        with pytest.raises(TooLargeError, match=r"N = 3 units: .* 2\*\*3 = 8 actions"):
+            env.feasible_actions(s0)
+        # the failed build left no table behind: a later lookup builds it whole
+        monkeypatch.undo()
+        assert env.feasible_actions(s0) == UnitCommitmentMDP(inst).feasible_actions(s0)
 
 
 class TestReward:
