@@ -70,7 +70,7 @@ def _q_score(w_t: np.ndarray, state, action, env) -> float:
 def greedy_action_from_q(w_t: np.ndarray, state: SystemState, env) -> CommitmentAction:
     """Feasible action maximizing the linear value estimate, lexicographic
     ties."""
-    feas = env._feasible_ints(state.status, state.hour)
+    feas = env._feasible_ints(state.status, state.hour) if state.hour < env.horizon else ()
     if not feas:
         raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
     index = _indexer(state.status, state.hour, env)

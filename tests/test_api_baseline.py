@@ -209,6 +209,11 @@ class TestGreedyActionFromQ:
         with pytest.raises(NoFeasibleActionError):
             greedy_action_from_q(np.zeros(feature_dim(2)), SystemState((-1, 5), 1), env)
 
+    def test_terminal_hour_raises(self):
+        env = trap_env()
+        with pytest.raises(NoFeasibleActionError):
+            greedy_action_from_q(np.zeros(feature_dim(2)), SystemState((5, 5), 3), env)
+
 
 class TestSarsa:
     @pytest.mark.parametrize("alpha, epsilon, name", BAD_RATES)
