@@ -51,7 +51,6 @@ from .errors import (
     NoFeasibleActionError,
     NoFeasiblePlanError,
     OutOfBoundsError,
-    SamplingWeightUnderflowError,
     TooLargeError,
     UnitCommitmentError,
 )

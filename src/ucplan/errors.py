@@ -28,11 +28,6 @@ class NoFeasibleActionError(UnitCommitmentError):
         self.step = step
 
 
-class SamplingWeightUnderflowError(UnitCommitmentError):
-    """Too few sampling weights decay**d are non-zero for the draws asked
-    of them: the decay is so small that the weights underflow to 0.0."""
-
-
 class HourMismatchError(UnitCommitmentError, ValueError):
     """Two states that must share an hour index do not."""
 

@@ -225,21 +225,20 @@ class UnitCommitmentMDP:
     def dispatch_cost(self, action, hour: int) -> float:
         return self.dispatch_cost_int(self._int_of(action), hour)
 
-    def schedule_cost(self, plan, start: SystemState | None = None) -> CostBreakdown:
-        return self.replay(plan, start).cost
+    def schedule_cost(self, plan) -> CostBreakdown:
+        return self.replay(plan).cost
 
-    def replay(self, plan, start: SystemState | None = None) -> ScheduleSolution:
-        """Execute a plan step by step, collecting dispatches and costs.
+    def replay(self, plan) -> ScheduleSolution:
+        """Execute a plan step by step from the initial state, collecting
+        dispatches and costs.
 
         Raises InfeasibleActionError carrying the offending step index.
         Totals are exact (fsum over per-unit cost terms).
         """
-        state = self.initial_state() if start is None else start
+        state = self.initial_state()
         plan = tuple(tuple(a) for a in plan)
-        if len(plan) != self.horizon - state.hour:
-            raise ValueError(
-                f"plan length {len(plan)} != remaining horizon {self.horizon - state.hour}"
-            )
+        if len(plan) != self.horizon:
+            raise ValueError(f"plan length {len(plan)} != horizon {self.horizon}")
         states = [state]
         dispatches = []
         gen_terms: list[float] = []
@@ -348,13 +347,21 @@ class UnitCommitmentMDP:
         """Actions at ``hour`` that keep these lock masks and pass the set
         limits, ascending; memoised per hour by the masks.  The first call
         filters all 2^N actions by every hour's set limits, and raises
-        TooLargeError when that table does not fit in memory."""
+        TooLargeError, before allocating it, when that table cannot be
+        indexed, and when it does not fit in memory."""
         memo = self._feasible_memo[hour]
         key = lock_on << self.n_units | lock_off
         feas = memo.get(key)
         if feas is None:
             if self._acts_by_hour is None:
                 n = self.n_units
+                too_large = TooLargeError(
+                    f"N = {n} units: the table of 2**{n} = {1 << n} actions "
+                    "does not fit in memory"
+                )
+                # numpy cannot even size an int64 array of 2**N entries
+                if 8 << n > np.iinfo(np.intp).max:
+                    raise too_large
                 try:
                     ints = np.arange(1 << n, dtype=np.int64)
                     lo, hi = _set_limit_sums(ints, self._mask, self._gens)
@@ -366,10 +373,7 @@ class UnitCommitmentMDP:
                         for d, r in zip(profile.demand, profile.reserve)
                     ]
                 except MemoryError:
-                    raise TooLargeError(
-                        f"N = {n} units: the table of 2**{n} = {1 << n} actions "
-                        "does not fit in memory"
-                    ) from None
+                    raise too_large from None
             arr = self._acts_by_hour[hour]
             sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
             objects = self._int_objects

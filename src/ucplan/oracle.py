@@ -27,7 +27,6 @@ def exhaustive_optimum(env: UnitCommitmentMDP) -> ScheduleSolution:
 
     best_cost = float("inf")
     best_plan = None
-    s0 = env.initial_state()
     prefix: list = []
 
     def walk(status, hour, acc):
@@ -44,10 +43,10 @@ def exhaustive_optimum(env: UnitCommitmentMDP) -> ScheduleSolution:
             walk(env._advance(status, bits), hour + 1, acc - r)
             prefix.pop()
 
-    walk(s0.status, 0, 0.0)
+    walk(env.initial_state().status, 0, 0.0)
     if best_plan is None:
         raise NoFeasiblePlanError("every branch reaches a state with no feasible action")
-    return env.replay(best_plan, s0)
+    return env.replay(best_plan)
 
 
 def exact_dp(env: UnitCommitmentMDP) -> dict[tuple[int, tuple[int, ...]], float]:

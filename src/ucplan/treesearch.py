@@ -11,8 +11,8 @@ rapid re-commitment churn.
 
 Both searches score every node, the root included, with one routine,
 ``_best``, over bit-packed actions; ``_search`` expands an inner node and
-hands its candidates to it.  The searches differ only in where a node's
-candidates come from: the whole feasible set
+hands its candidates to it.  The searches differ only in their
+``expand`` closure, which gives a node's candidates: the whole feasible set
 (``UnitCommitmentMDP._feasible_ints``), or ``sample_action_neighborhood``
 around the action that reached the node, with Hamming distances taken as
 the popcount of an XOR.  Both score an edge with
@@ -23,33 +23,30 @@ cutoff, the root included, scores its candidates straight from the reward
 vector, minus ``BIG`` for each child with no feasible action, and keeps the
 first maximum (``_cutoff_best``).
 
-The exact search is a branch and bound.  Start-up prices are >= 0, so
+Both searches are one branch and bound.  Start-up prices are >= 0, so
 ``UnitCommitmentMDP.reward_bound(h)``, the best minus dispatch cost over
 the actions that pass hour h's set limits, bounds every reward at hour h
 from any state; ``_tail_bound`` sums these bounds into one for a whole
 subtree.  A node walks its candidates in descending reward and stops at
 the first whose reward plus its children's bound falls below the best
 value so far, so the returned maximum, and the root's first-maximum
-choice, are those of full enumeration bit for bit.  The sub-sampled
-search prunes only among root candidates: each draws from its own RNG
-stream, created when it is expanded, so skipping one changes no other,
-while inner nodes share their root candidate's stream and keep every
-draw in order.
+choice, are those of full enumeration over the same candidates bit for
+bit.
 
-A neighbourhood sample is drawn by ``_draw``: numpy's successive-sampling
-law for ``Generator.choice(replace=False, p=...)`` written out over Python
-lists.  It takes the same uniforms, so it makes the same picks in the same
-order and leaves the generator where ``choice`` would; tree-sub plans
-depend only on ``Generator.random``'s stream.
+A neighbourhood sample is a pure function of (seed, hour, status,
+anchor): it takes its uniforms from a generator seeded by them and keeps
+the largest Efraimidis-Spirakis keys in log space.  A node's sample thus
+does not depend on which other nodes were searched, so pruning a subtree
+changes no other draw, and a sample size that covers the feasible set
+makes the node an exact one.
 """
 
-from bisect import bisect_right
-from itertools import accumulate
-from math import inf
+from math import inf, log
 
 import numpy as np
 
-from .errors import NoFeasibleActionError, SamplingWeightUnderflowError
+from .core import STATUS_CAP
+from .errors import NoFeasibleActionError
 from .mdp import BIG, CommitmentAction, ScheduleSolution, SystemState, UnitCommitmentMDP
 
 
@@ -86,16 +83,16 @@ def _tail_bound(env: UnitCommitmentMDP, hour: int, depth: int) -> float:
     return tail
 
 
-def _bounded_best(order, rewards, tail: float, score) -> tuple[int, float]:
-    """Index and value of the best ``score(k)`` over candidates ``order``.
+def _bounded_best(rewards, tail: float, score) -> tuple[int, float]:
+    """Index and value of the best ``score(k)`` over the candidates.
 
-    Stops at the first candidate whose reward plus ``tail``, a bound on its
-    child's value, falls below the best value so far.  With ``order`` by
-    descending reward, no candidate after it can reach that value, so the
-    result is the full maximum.  Among equal values the lowest index wins.
+    Walks them in descending reward and stops at the first whose reward
+    plus ``tail``, a bound on its child's value, falls below the best value
+    so far: no candidate after it can reach that value, so the result is
+    the full maximum.  Among equal values the lowest index wins.
     """
     best_k, best = -1, -inf
-    for k in order:
+    for k in sorted(range(len(rewards)), key=rewards.__getitem__, reverse=True):
         if rewards[k] + tail < best:
             break
         v = score(k)
@@ -105,18 +102,17 @@ def _bounded_best(order, rewards, tail: float, score) -> tuple[int, float]:
 
 
 def _best(
-    env: UnitCommitmentMDP, status, hour: int, depth: int, cands, expand_for, ordered, prune
+    env: UnitCommitmentMDP, status, hour: int, depth: int, cands, expand
 ) -> tuple[int, float]:
     """Index and value of the best of a node's candidates ``cands``: each
     one's reward plus the ``_search`` value of its child, or
     ``_cutoff_best`` when the children are leaves.
 
-    Child k is searched by ``_search`` with ``expand_for(k)`` and
-    ``prune``.  With ``ordered``, the candidates go in descending reward
-    against the children's ``_tail_bound`` (``_bounded_best``); without it,
-    every one is scored in the order given.  Candidates ascend by action,
-    so taking the lowest index among equal values breaks ties toward the
-    lexicographically smallest action.
+    Child k is searched by ``_search`` with ``expand``, anchored on
+    ``cands[k]``, against the children's ``_tail_bound``
+    (``_bounded_best``).  Candidates ascend by action, so taking the lowest
+    index among equal values breaks ties toward the lexicographically
+    smallest action.
     """
     if _at_cutoff(env, hour, depth):
         return _cutoff_best(env, status, hour, cands)
@@ -124,22 +120,15 @@ def _best(
 
     def score(k: int) -> float:
         child = env._advance(status, env._bits_of(cands[k]))
-        return rewards[k] + _search(
-            env, child, hour + 1, depth - 1, expand_for(k), cands[k], prune
-        )
+        return rewards[k] + _search(env, child, hour + 1, depth - 1, expand, cands[k])
 
-    if not ordered:
-        return _bounded_best(range(len(cands)), rewards, inf, score)
-    order = sorted(range(len(cands)), key=rewards.__getitem__, reverse=True)
-    return _bounded_best(order, rewards, _tail_bound(env, hour + 1, depth - 1), score)
+    return _bounded_best(rewards, _tail_bound(env, hour + 1, depth - 1), score)
 
 
-def _search(
-    env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor, prune: bool
-) -> float:
+def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor) -> float:
     """Best cumulative reward over ``depth`` more steps from (status, hour):
     the ``_best`` value of the node's candidates ``expand(status, hour,
-    anchor)``, walked in descending reward when ``prune``.
+    anchor)``.
 
     Every child is expanded the same way, around the bit-packed action that
     reached it.  Returns -BIG from a catastrophe state, including one a step
@@ -148,7 +137,7 @@ def _search(
     cands = expand(status, hour, anchor)
     if not cands:
         return -BIG
-    return _best(env, status, hour, depth, cands, lambda _k: expand, prune, prune)[1]
+    return _best(env, status, hour, depth, cands, expand)[1]
 
 
 # ``benchmark/spans.py`` patches ``_search_sub`` by name, so the name stays
@@ -171,9 +160,7 @@ def find_best_action(
     def expand(status, hour, _anchor):
         return env._feasible_ints(status, hour)
 
-    k, value = _best(
-        env, state.status, state.hour, lookahead, cands, lambda _k: expand, True, True
-    )
+    k, value = _best(env, state.status, state.hour, lookahead, cands, expand)
     return env._bits_of(cands[k]), value
 
 
@@ -182,72 +169,40 @@ def tree_search_policy(lookahead: int, env: UnitCommitmentMDP) -> ScheduleSoluti
     return env.rollout(lambda state, _: find_best_action(state, lookahead, env))
 
 
-def _draw(w: np.ndarray, size: int, rng: np.random.Generator) -> list[int]:
-    """``size`` distinct indices drawn from weights ``w`` in the order
-    ``rng.choice(len(w), size, replace=False, p=w / w.sum())`` picks them,
-    with the same uniforms taken from ``rng``.
-
-    Each round draws one uniform per index still missing, zeroes the
-    weights found so far, maps each uniform through the left-to-right cdf
-    (``searchsorted(side="right")``) and keeps the first hit of each new
-    index.  Raises ``SamplingWeightUnderflowError`` when fewer than
-    ``size`` weights are non-zero.
-    """
-    total = w.sum()
-    p = w / total if total > 0 else w
-    nonzero = np.count_nonzero(p)
-    if nonzero < size:
-        raise SamplingWeightUnderflowError(
-            f"only {nonzero} of {len(p)} sampling weights rho**d are non-zero"
-            f" for {size} draws; rho is too small"
-        )
-    p = p.tolist()
-    found: list[int] = []
-    while len(found) < size:
-        x = rng.random(size - len(found)).tolist()
-        for i in found:
-            p[i] = 0.0
-        cdf = list(accumulate(p))
-        last = cdf[-1]
-        cdf = [c / last for c in cdf]
-        for u in x:
-            i = bisect_right(cdf, u)
-            if i not in found:
-                found.append(i)
-    return found
-
-
 def sample_action_neighborhood(
     anchor: int,
     status,
     hour: int,
     sample_count: int,
     decay: float,
-    rng: np.random.Generator,
+    seed: int,
     env: UnitCommitmentMDP,
 ) -> list[int]:
     """Sample distinct feasible bit-packed actions near ``anchor``, ascending.
 
-    Inclusion probability is proportional to decay**d where d is the
-    Hamming distance (popcount of the XOR) to the anchor; the anchor, or
-    its nearest feasible projection with ties to the smallest action, is
-    always kept.  Returns the whole feasible set when ``sample_count``
-    covers it, the empty list from a catastrophe state.  Raises
-    ``SamplingWeightUnderflowError`` when decay**d underflows to 0.0 for
-    so many actions that fewer non-zero weights are left than draws.
+    Returns the whole feasible set, with no draw, when ``sample_count``
+    covers it; the empty list from a catastrophe state.  Otherwise keeps
+    the anchor, or its nearest feasible projection with ties to the
+    smallest action, and ``sample_count - 1`` of the other actions, drawn
+    without replacement with weights decay**d, where d is the Hamming
+    distance (popcount of the XOR) to the anchor.  The draw gives each of
+    those actions, in ascending order, one uniform u from a generator
+    seeded by (seed, hour, anchor, status) and keeps the largest keys
+    d * log(decay) - log(-log(u)) (Efraimidis and Spirakis, 2006, in log
+    space), so no weight underflows and the sample depends on nothing but
+    its arguments.
     """
     feas = env._feasible_ints(status, hour)
-    if not feas:
-        return []
+    if len(feas) <= sample_count:
+        return list(feas)
     dist = [(a ^ anchor).bit_count() for a in feas]
     nearest = dist.index(min(dist))
-    take = min(sample_count, len(feas))
-    if take == 1:
-        return [feas[nearest]]
     rest = [i for i in range(len(feas)) if i != nearest]
-    w = np.array([decay ** dist[i] for i in rest])
-    picked = _draw(w, take - 1, rng)
-    return [feas[i] for i in sorted({nearest, *(rest[j] for j in picked)})]
+    rng = np.random.default_rng([seed, hour, anchor, *(st + STATUS_CAP for st in status)])
+    u = rng.random(len(rest))
+    keys = log(decay) * np.array([dist[i] for i in rest]) - np.log(-np.log(u))
+    picked = np.argsort(-keys, kind="stable")[: sample_count - 1].tolist()
+    return [feas[i] for i in sorted([nearest, *(rest[j] for j in picked)])]
 
 
 def subsampled_tree_search(
@@ -258,9 +213,9 @@ def subsampled_tree_search(
 
     The root candidates at hour t are anchored on the action committed at
     t-1 (at t=0: the on/off sign pattern of the initial state); deeper
-    nodes anchor on the action taken along their own path.  Each root
-    candidate evaluates under an RNG stream derived from (seed, t, index),
-    so a pruned root candidate changes no other candidate's draws.
+    nodes anchor on the action taken along their own path.  Each node's
+    sample depends only on (seed, hour, status, anchor), so the search
+    prunes at every node as the exact search does.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be >= 1")
@@ -270,27 +225,16 @@ def subsampled_tree_search(
         raise ValueError("decay must lie in (0, 1)")
     first_anchor = env._int_of(1 if st > 0 else 0 for st in env.initial_state().status)
 
+    def expand(status, hour, anchor):
+        return sample_action_neighborhood(anchor, status, hour, sample_count, decay, seed, env)
+
     def choose(state, previous):
         t = state.hour
         anchor = first_anchor if previous is None else env._int_of(previous)
-        root_rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        cands = sample_action_neighborhood(
-            anchor, state.status, t, sample_count, decay, root_rng, env
-        )
+        cands = expand(state.status, t, anchor)
         if not cands:
             raise NoFeasibleActionError(f"no feasible action at hour {t}")
-
-        def expand_for(k):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, t, k]))
-
-            def expand(status, hour, anchor):
-                return sample_action_neighborhood(
-                    anchor, status, hour, sample_count, decay, rng, env
-                )
-
-            return expand
-
-        k, value = _best(env, state.status, t, lookahead, cands, expand_for, True, False)
+        k, value = _best(env, state.status, t, lookahead, cands, expand)
         return env._bits_of(cands[k]), value
 
     return env.rollout(choose)

@@ -433,17 +433,16 @@ class TestCli:
         assert any(word in err[0] for word in bad)
         assert not (tmp_path / "out").exists()
 
-    def test_underflowing_rho_gives_one_error_line(self, tmp_path, capsys):
-        """rho**d underflows to 0.0 on eight units at rho 1e-60, leaving
-        fewer non-zero sampling weights than draws."""
+    def test_a_vanishing_rho_solves(self, tmp_path, capsys):
+        """rho**d would underflow to 0.0 at rho 1e-300; the sampler's keys
+        are logarithms, so every weight keeps its order."""
         out = tmp_path / "out"
         assert uc_main([
             "solve", "-i", str(INSTANCES / "n8_t24.json"), "--algo", "tree-sub",
-            "-H", "1", "-K", "64", "--rho", "1e-60", "-o", str(out),
-        ]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "rho" in err[0]
-        assert not out.exists()
+            "-H", "1", "-K", "16", "--rho", "1e-300", "-o", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "schedule.csv").exists()
 
     def test_a_fleet_too_large_for_the_action_table_gives_one_error_line(
         self, tmp_path, capsys, monkeypatch
@@ -463,6 +462,23 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == [
             "error: N = 40 units: the table of 2**40 = 1099511627776 actions "
+            "does not fit in memory"
+        ]
+        assert not out.exists()
+
+    def test_a_fleet_numpy_cannot_index_gives_one_error_line(self, tmp_path, capsys):
+        # 63 units: the 2**63-entry table once came out empty, and the solve
+        # reported a false "no feasible action at hour 0"
+        inst_path = tmp_path / "n63.json"
+        assert uc_main(["gen", "-N", "63", "-T", "2", "--seed", "1", "-o", str(inst_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert uc_main([
+            "solve", "-i", str(inst_path), "--algo", "tree", "-H", "1", "-o", str(out),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: N = 63 units: the table of 2**63 = 9223372036854775808 actions "
             "does not fit in memory"
         ]
         assert not out.exists()

@@ -258,6 +258,21 @@ class TestActionTable:
         monkeypatch.undo()
         assert env.feasible_actions(s0) == UnitCommitmentMDP(inst).feasible_actions(s0)
 
+    @pytest.mark.parametrize("n_units", [61, 62, 63, 64])
+    def test_a_table_numpy_cannot_size_is_too_large_before_any_allocation(
+        self, monkeypatch, n_units
+    ):
+        # 2**N int64 entries take 8 << N bytes, more than numpy can index
+        def no_table(*args, **kwargs):
+            raise AssertionError("built part of a table that cannot exist")
+
+        env = UnitCommitmentMDP(gen_instance(n_units, 2, 1))
+        monkeypatch.setattr(np, "arange", no_table)
+        monkeypatch.setattr(mdp, "_set_limit_sums", no_table)
+        with pytest.raises(TooLargeError, match=rf"N = {n_units} units: .* 2\*\*{n_units} = "):
+            env.feasible_actions(env.initial_state())
+        assert env._acts_by_hour is None
+
 
 class TestReward:
     def test_no_startup_term_when_all_on(self, two_unit_instance):
@@ -340,15 +355,11 @@ class TestCatastrophe:
 
 
 class TestScheduleCost:
-    def test_empty_plan_at_terminal_hour(self, two_unit_instance):
-        env = UnitCommitmentMDP(two_unit_instance)
-        cost = env.schedule_cost([], SystemState((3, 3), env.horizon))
-        assert cost.objective == 0.0
-
     def test_single_step_plan_matches_reward(self, two_unit_instance):
-        env = UnitCommitmentMDP(two_unit_instance)
-        s = SystemState((3, 3), env.horizon - 1)
-        cost = env.schedule_cost([(1, 1)], s)
+        gens = two_unit_instance.generators
+        env = env_for(gens, demand=[60.0], reserve=[6.0])
+        s = env.initial_state()
+        cost = env.schedule_cost([(1, 1)])
         assert cost.objective == pytest.approx(-env.reward(s, (1, 1)), rel=1e-15)
 
     def test_multi_step_plan_composes_stepwise(self, two_unit_instance):

@@ -8,7 +8,6 @@ import pytest
 from ucplan import (
     NoFeasibleActionError,
     ProblemInstance,
-    SamplingWeightUnderflowError,
     SystemState,
     UnitCommitmentMDP,
     exhaustive_optimum,
@@ -432,6 +431,26 @@ class TestBranchAndBound:
         run(load_instance(INSTANCES / "n8_t24.json"), algorithm, lookahead=3, **options)
         assert calls == want
 
+    def test_tree_sub_covering_every_feasible_set_is_the_exact_search(self, monkeypatch):
+        # with K = 2**N no node draws, so tree-sub walks the exact search's
+        # nodes in the same order
+        walks = []
+        search = treesearch._search
+
+        def counted(*args):
+            walks[-1] += 1
+            return search(*args)
+
+        monkeypatch.setattr(treesearch, "_search", counted)
+        inst = load_instance(INSTANCES / "n8_t24.json")
+        walks.append(0)
+        exact = tree_search_policy(3, UnitCommitmentMDP(inst))
+        walks.append(0)
+        sub = subsampled_tree_search(3, 2**inst.n_units, 0.5, 0, UnitCommitmentMDP(inst))
+        assert sub.actions == exact.actions
+        assert repr(sub.step_values) == repr(exact.step_values)
+        assert walks == [248, 248]
+
     @pytest.mark.parametrize("lookahead", [2, 3])
     def test_tree_sub_root_pruning_keeps_the_plan(self, monkeypatch, lookahead):
         inst = load_instance(INSTANCES / "n8_t24.json")
@@ -444,12 +463,12 @@ class TestBranchAndBound:
         assert repr(pruned.step_values) == repr(full.step_values)
 
 
-def all_free_env():
-    """Four units, all free, every action with at least one unit on is
+def all_free_env(n_units=4):
+    """``n_units`` units, all free, every action with at least one unit on is
     feasible (each unit alone covers demand plus reserve)."""
     gens = [
         make_gen(id=i, p_min=0.0, p_max=100.0, t_up=1, t_down=1, initial_status=5)
-        for i in range(4)
+        for i in range(n_units)
     ]
     inst = make_instance(gens, demand=[50.0] * 3, reserve=[5.0] * 3)
     return UnitCommitmentMDP(inst)
@@ -457,20 +476,31 @@ def all_free_env():
 
 class TestSampleActionNeighborhood:
     @staticmethod
-    def sample(anchor, state, sample_count, decay, rng, env):
+    def sample(anchor, state, sample_count, decay, seed, env):
         """The sampler on action tuples: bit-packed in, bit-packed out."""
         aints = sample_action_neighborhood(
-            env._int_of(anchor), state.status, state.hour, sample_count, decay, rng, env
+            env._int_of(anchor), state.status, state.hour, sample_count, decay, seed, env
         )
         return [env._bits_of(a) for a in aints]
 
     def test_covers_full_feasible_set(self):
         env = all_free_env()
         state = env.initial_state()
-        rng = np.random.default_rng(0)
         anchor = (1, 1, 1, 1)
-        sampled = self.sample(anchor, state, 16, 0.5, rng, env)
+        sampled = self.sample(anchor, state, 16, 0.5, 0, env)
         assert sampled == env.feasible_actions(state)
+
+    def test_a_covering_sample_makes_no_draw(self, monkeypatch):
+        env = all_free_env()
+        state = env.initial_state()
+        feas = env.feasible_actions(state)
+
+        def no_generator(*args):
+            raise AssertionError("a sample that covers the feasible set drew")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for sample_count in (len(feas), len(feas) + 1):
+            assert self.sample((1, 1, 1, 1), state, sample_count, 0.5, 0, env) == feas
 
     def test_vanishing_decay_keeps_nearest_actions(self):
         env = all_free_env()
@@ -480,8 +510,7 @@ class TestSampleActionNeighborhood:
         dist = {a: sum(x != y for x, y in zip(a, anchor)) for a in feas}
         want = sorted(sorted(dist.values())[:4])
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            sampled = self.sample(anchor, state, 4, 1e-9, rng, env)
+            sampled = self.sample(anchor, state, 4, 1e-9, seed, env)
             assert anchor in sampled
             assert sorted(dist[a] for a in sampled) == want
 
@@ -491,11 +520,10 @@ class TestSampleActionNeighborhood:
         anchor = (1, 1, 1, 1)
         feas = env.feasible_actions(state)
         dist = {a: sum(x != y for x, y in zip(a, anchor)) for a in feas}
-        rng = np.random.default_rng(42)
         counts = defaultdict(int)
         draws = 10_000
-        for _ in range(draws):
-            for a in self.sample(anchor, state, 4, 0.5, rng, env):
+        for seed in range(draws):
+            for a in self.sample(anchor, state, 4, 0.5, seed, env):
                 counts[a] += 1
         by_distance = defaultdict(list)
         for a in feas:
@@ -506,8 +534,7 @@ class TestSampleActionNeighborhood:
     def test_infeasible_anchor_projected_to_nearest(self):
         env = all_free_env()
         state = env.initial_state()
-        rng = np.random.default_rng(1)
-        sampled = self.sample((0, 0, 0, 0), state, 1, 0.5, rng, env)
+        sampled = self.sample((0, 0, 0, 0), state, 1, 0.5, 1, env)
         # all-off is infeasible; its nearest feasible neighbors are one-hot
         assert sampled in ([(0, 0, 0, 1)], [(0, 0, 1, 0)], [(0, 1, 0, 0)], [(1, 0, 0, 0)])
         assert sampled == [(0, 0, 0, 1)]  # lexicographic among equals
@@ -516,81 +543,56 @@ class TestSampleActionNeighborhood:
         gens = [make_gen(id=0, p_min=5.0, p_max=100.0, t_down=3)]
         inst = make_instance(gens, demand=[50.0, 50.0])
         env = UnitCommitmentMDP(inst)
-        rng = np.random.default_rng(0)
-        assert self.sample((1,), SystemState((-1,), 0), 2, 0.5, rng, env) == []
+        assert self.sample((1,), SystemState((-1,), 0), 2, 0.5, 0, env) == []
 
+    def test_a_sample_depends_only_on_seed_hour_status_and_anchor(self):
+        env = all_free_env(8)
+        states = [env.initial_state(), SystemState((2, 1, -3, 5, -1, 4, -24, 24), 1)]
+        anchors = [(1,) * 8, (0, 1, 1, 0, 0, 1, 0, 1)]
+        samples = set()
+        for state in states:
+            for anchor in anchors:
+                for seed in (0, 3):
+                    sampled = self.sample(anchor, state, 16, 0.5, seed, env)
+                    assert len(sampled) == 16
+                    # again, after other samples, and on a fresh MDP
+                    assert self.sample(anchor, state, 16, 0.5, seed, env) == sampled
+                    assert self.sample(anchor, state, 16, 0.5, seed, all_free_env(8)) == sampled
+                    samples.add(tuple(sampled))
+        # each argument moves the sample
+        assert len(samples) == 8
 
-class TestDraw:
-    """``treesearch._draw`` against the ``Generator.choice`` call it writes
-    out: the same picks in the same order, and the generator left where
-    ``choice`` leaves it."""
+    def test_samples_of_one_node_nest_as_the_count_grows(self):
+        env = all_free_env(8)
+        state = SystemState((2, 1, -3, 5, -1, 4, -24, 24), 1)
+        n_feasible = len(env.feasible_actions(state))
+        for seed in (0, 1):
+            for anchor in ((1,) * 8, (0, 1, 1, 0, 0, 1, 0, 1)):
+                previous = []
+                for sample_count in range(1, n_feasible + 1):
+                    sampled = self.sample(anchor, state, sample_count, 0.5, seed, env)
+                    assert len(sampled) == sample_count
+                    assert set(previous) <= set(sampled)
+                    previous = sampled
 
-    @staticmethod
-    def assert_matches_choice(w, size, seed):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        picks = treesearch._draw(w, size, ours)
-        want = theirs.choice(len(w), size, replace=False, p=w / w.sum())
-        assert picks == want.tolist(), (w, size, seed)
-        assert ours.random() == theirs.random(), (w, size, seed)
-
-    def test_matches_choice_for_every_population_and_size(self):
-        meta = np.random.default_rng(2024)
-        for n in range(1, 41):
-            decay = meta.uniform(0.1, 0.9)
-            hamming = decay ** meta.integers(1, 13, n).astype(float)
-            tied = np.full(n, decay)
-            for w in (hamming, tied):
-                for size in range(1, n + 1):
-                    self.assert_matches_choice(w, size, int(meta.integers(1 << 31)))
-
-    def test_matches_choice_past_zero_weights(self):
-        meta = np.random.default_rng(7)
-        for n in range(2, 41):
-            w = meta.random(n)
-            w[meta.random(n) < 0.4] = 0.0
-            w[0] = 0.5  # keep at least one non-zero weight
-            for size in range(1, np.count_nonzero(w) + 1):
-                self.assert_matches_choice(w, size, int(meta.integers(1 << 31)))
-
-    def test_a_uniform_on_a_cdf_step_maps_as_searchsorted_right(self):
-        """Uniforms that land exactly on a cdf value, which a seeded draw
-        almost never gives, fed in through a stub generator."""
-
-        class Uniforms:
-            def __init__(self, values):
-                self.values = values
-
-            def random(self, k):
-                out, self.values = self.values[:k], self.values[k:]
-                return np.array(out)
-
-        w = np.array([1.0, 1.0, 2.0])
-        cdf = np.cumsum(w / w.sum())
-        for u in (0.0, *cdf[:-1]):
-            want = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
-            assert treesearch._draw(w, 1, Uniforms([u])) == [want]
-
-    @pytest.mark.parametrize(
-        "w, size",
-        [
-            ([1.0, 0.0, 0.0], 2),
-            ([0.0, 0.0], 1),
-            # 5e-324 / 3.0 rounds to 0.0 in p although its weight is non-zero
-            ([1.0, 1.0, 1.0, 5e-324], 4),
-        ],
-        ids=["fewer-non-zero", "all-zero", "zero-after-normalising"],
-    )
-    def test_too_few_non_zero_weights_raise(self, w, size):
-        rng = np.random.default_rng(0)
-        with pytest.raises(SamplingWeightUnderflowError, match="rho"):
-            treesearch._draw(np.array(w), size, rng)
-        assert rng.random() == np.random.default_rng(0).random()
-
-    def test_underflowing_rho_raises_and_a_small_one_solves(self):
-        env = UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json"))
-        with pytest.raises(SamplingWeightUnderflowError, match="rho"):
-            subsampled_tree_search(1, 64, 1e-60, 0, env)
-        assert len(subsampled_tree_search(1, 64, 1e-40, 0, env).actions) == env.horizon
+    def test_a_vanishing_decay_keeps_every_strictly_closer_action(self):
+        # at rho 1e-300 a step of distance weighs 690 in log space, far above
+        # the spread of the random part of a key: no weight underflows, and
+        # the sample takes every action strictly closer than the K-th
+        # nearest distance before any at that distance
+        env = all_free_env(8)
+        state = env.initial_state()
+        feas = env.feasible_actions(state)
+        for anchor in ((1,) * 8, (0, 1, 1, 0, 0, 1, 0, 1)):
+            dist = {a: sum(x != y for x, y in zip(a, anchor)) for a in feas}
+            by_distance = sorted(dist.values())
+            for sample_count in (2, 9, 10, 37, 40, 100, 200):
+                kth = by_distance[sample_count - 1]
+                closer = {a for a in feas if dist[a] < kth}
+                for seed in range(3):
+                    sampled = self.sample(anchor, state, sample_count, 1e-300, seed, env)
+                    assert closer <= set(sampled)
+                    assert all(dist[a] <= kth for a in sampled)
 
 
 class TestSubsampledTreeSearch:
@@ -603,16 +605,18 @@ class TestSubsampledTreeSearch:
             assert sub.actions == full.actions
             assert sub.objective == full.objective
 
-    def test_sampling_never_beats_full_search(self):
+    def test_sampling_never_beats_the_optimum(self):
+        # a sampled lookahead can beat the full one at the same depth (both
+        # are heuristics over the day), but no plan beats the optimum
         for seed in range(5):
             inst = gen_instance(3, 6, seed=20 + seed)
             env = UnitCommitmentMDP(inst)
-            full = tree_search_policy(3, env)
+            best = exhaustive_optimum(env)
             try:
                 sub = subsampled_tree_search(3, 2, 0.5, seed, env)
             except NoFeasibleActionError:
                 continue
-            assert sub.objective >= full.objective
+            assert sub.objective >= best.objective
 
     def test_fixed_seed_reproduces_solution(self):
         inst = gen_instance(4, 6, seed=1)
