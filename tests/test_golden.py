@@ -7,10 +7,13 @@ searches pruned against a reward bound), the bundled-instance tree-sub
 ones before the two search recursions were merged, the 17-unit ones
 before fleets above 16 units lost their own feasible-set path to the one
 action table, and the API baseline's before its features went through
-the MDP's shared dead-end predicate.  Each tree, tree-sub and back-sweep
-digest covers a solver's emitted ``schedule.csv`` text plus the ``repr``
-of its per-hour step values, so a change in the last bit of any value
-the search reports fails here.  The small solver instance has a
+the MDP's shared dead-end predicate.  Every tree-sub digest was recorded
+again, on purpose, when each node's neighbourhood sample came to be
+drawn from a generator seeded by the node itself instead of one stream
+shared along the search.  Each tree, tree-sub and back-sweep digest
+covers a solver's emitted ``schedule.csv`` text plus the ``repr`` of its
+per-hour step values, so a change in the last bit of any value the
+search reports fails here.  The small solver instance has a
 multi-start-up hour in all three plans; the oracle instance starts both
 units off, and its optimum starts both in hour 0.  The API baseline's
 plan digest covers its ``schedule.csv`` text plus the ``repr`` of its
@@ -46,7 +49,7 @@ SOLVER_DIGESTS = {
     ),
     "tree-sub": (
         dict(lookahead=2, sample_count=16, rho=0.5, seed=0),
-        "5a651a8df298ae28f7b01e5297e76f2d75d614e3d0076523fd46a82892405bc4",
+        "756c7fb0484f6925879c1bc069c4aae5dad0232b28b2a0e41cdc1a53cd986dd0",
     ),
     "backsweep": (
         dict(n_samples=30, seed=0),
@@ -68,11 +71,11 @@ BUNDLED_TREE_DIGESTS = {
 # sub-sampled tree search (rho 0.5, seed 0) on the bundled instances:
 # (instance, H, K) -> digest
 BUNDLED_TREE_SUB_DIGESTS = {
-    ("n8_t24", 1, 64): "b2276797e1c6a405f802470fb30db7fde5e9db51cc0b557f5c45ffdcde60d000",
-    ("n8_t24", 2, 16): "d0321c60a341c1264599c6d761beba3d383a14b90da49a8bceb788411d2850b2",
-    ("n8_t24", 3, 64): "1ba4b35d9afd8f14d8ed8d73b0ec11cd7ac62481d0a483eefac0b1afff033f49",
-    ("n12_t24", 1, 64): "71d7130ea1b794613ac174184e0240eb998ba6a029f656f1a87e4b950253ee3a",
-    ("n12_t24", 2, 16): "9854a4d78c58871d6e862e4029c24d0c633b09abe3f068e46f3068781b795626",
+    ("n8_t24", 1, 64): "fb3632a2aea2701af2dca2b974b66bb1daf193e77f47082307a3eef7365c03d4",
+    ("n8_t24", 2, 16): "6ef5bead1754b3a5e61ec02c449dbe45066dc1f1b248b980ba76413912f368a2",
+    ("n8_t24", 3, 64): "188c72ae34669a7947602ff0e21c730d60d0f37a6741cc7c9971d287e69a65b2",
+    ("n12_t24", 1, 64): "b30ec1f3fc43fb3b60eaf811546e69271342d3cf3bc533f052a9ac2512fecd30",
+    ("n12_t24", 2, 16): "95e51f628e5165648971a198fc8de759f01d0b2751c1ffe904cc93a77499060b",
 }
 
 # both tree searches on ``gen_instance(17, 4, 1)``, a fleet above 16 units
@@ -83,7 +86,7 @@ LARGE_FLEET_DIGESTS = {
     ),
     "tree-sub": (
         dict(lookahead=2, sample_count=16, rho=0.5, seed=0),
-        "eb46c19073deba318ddf3aa562f8491620742289bc61bd46d1bb8789d2706350",
+        "1606838864fae0f9f2cf3a795d1520bb58f0183d34d5ff8af774255793e0a8bb",
     ),
 }
 

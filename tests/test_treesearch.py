@@ -412,7 +412,7 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize(
         ("algorithm", "options", "want"),
-        [("tree", {}, 248), ("tree-sub", {"sample_count": 64, "rho": 0.5, "seed": 0}, 1850)],
+        [("tree", {}, 248), ("tree-sub", {"sample_count": 64, "rho": 0.5, "seed": 0}, 262)],
     )
     def test_search_call_count_on_the_bundled_n8_instance(
         self, monkeypatch, algorithm, options, want
