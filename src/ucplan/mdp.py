@@ -355,14 +355,10 @@ class UnitCommitmentMDP:
         if feas is None:
             if self._acts_by_hour is None:
                 n = self.n_units
-                too_large = TooLargeError(
-                    f"N = {n} units: the table of 2**{n} = {1 << n} actions "
-                    "does not fit in memory"
-                )
-                # numpy cannot even size an int64 array of 2**N entries
-                if 8 << n > np.iinfo(np.intp).max:
-                    raise too_large
                 try:
+                    # numpy cannot even size an int64 array of 2**N entries
+                    if 8 << n > np.iinfo(np.intp).max:
+                        raise MemoryError
                     ints = np.arange(1 << n, dtype=np.int64)
                     lo, hi = _set_limit_sums(ints, self._mask, self._gens)
                     self._int_objects = ints.tolist()
@@ -373,7 +369,10 @@ class UnitCommitmentMDP:
                         for d, r in zip(profile.demand, profile.reserve)
                     ]
                 except MemoryError:
-                    raise too_large from None
+                    raise TooLargeError(
+                        f"N = {n} units: the table of 2**{n} = {1 << n} actions "
+                        "does not fit in memory"
+                    ) from None
             arr = self._acts_by_hour[hour]
             sel = arr[((arr & lock_on) == lock_on) & ((arr & lock_off) == 0)]
             objects = self._int_objects
