@@ -223,6 +223,8 @@ def subsampled_tree_search(
         raise ValueError("sample_count must be >= 1")
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     first_anchor = env._int_of(1 if st > 0 else 0 for st in env.initial_state().status)
 
     def expand(status, hour, anchor):

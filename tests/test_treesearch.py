@@ -643,6 +643,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             subsampled_tree_search(2, 0, 0.5, 0, env)
 
+    def test_rejects_a_negative_seed_even_when_no_node_draws(self, two_unit_instance):
+        env = UnitCommitmentMDP(two_unit_instance)
+        with pytest.raises(ValueError, match="seed"):
+            subsampled_tree_search(2, 4, 0.5, -1, env)
+
     @pytest.mark.parametrize("algorithm", ["tree", "tree-sub"])
     def test_run_rejects_zero_lookahead(self, two_unit_instance, algorithm):
         with pytest.raises(ValueError):
