@@ -8,8 +8,9 @@ that price clipped to its box.  Linear-cost units (a == 0) respond as a
 step function and are filled in merit order of b, ties by generator id.
 
 ``economic_dispatch`` is the scalar reference.  ``dispatch_costs`` runs the
-same bisection and the same balance polish for many committed sets at once
-on numpy blocks and returns costs equal to the scalar ones bit for bit: its
+same bisection and the same balance polish for many committed sets at once,
+each against its own demand, on numpy blocks and returns costs equal to the
+scalar ones bit for bit: its
 fsums go through ``row_fsum``, a row-wise sum built from error-free
 transformations that certifies where it equals ``math.fsum``.
 ``kkt_violation`` certifies a returned dispatch against the optimality
@@ -379,33 +380,35 @@ def _finish(lam, on, demand, a, b, c, p_min, p_max):
     return cost, ok & ok_cost
 
 
-def dispatch_costs(bits, demand: float, gens) -> list[float]:
+def dispatch_costs(bits, demand, gens) -> list[float]:
     """``economic_dispatch(row, demand, gens).cost`` for every row of ``bits``.
 
-    Runs the scalar solver's bracket, expansion, midpoints and stopping
-    rule for all rows at once on numpy vectors.  Plain sums stand in for
-    ``fsum`` only where the two cannot decide differently: a row whose
-    residual lies within ``_SUM_MARGIN`` of a decision threshold goes to
-    ``economic_dispatch``, and so do empty or infeasible sets, rows whose
-    bracket collapses on a linear unit's price step (the scalar solver's
-    fallback) and rows still open after ``_MAX_BISECT`` steps.  Converged
-    rows finish together in ``_finish``, which repeats the scalar finish
-    operation for operation with certified fsums; a row it cannot certify
-    goes to ``economic_dispatch`` too, so every cost (or error) is the
-    scalar one.
+    ``demand`` is one float for every row, or one value per row.  Runs the
+    scalar solver's bracket, expansion, midpoints and stopping rule for all
+    rows at once on numpy vectors, each row against its own demand.  Plain
+    sums stand in for ``fsum`` only where the two cannot decide differently:
+    a row whose residual lies within ``_SUM_MARGIN`` of a decision threshold
+    goes to ``economic_dispatch``, and so do empty or infeasible sets, rows
+    whose bracket collapses on a linear unit's price step (the scalar
+    solver's fallback) and rows still open after ``_MAX_BISECT`` steps.
+    Converged rows finish together in ``_finish``, which repeats the scalar
+    finish operation for operation with certified fsums; a row it cannot
+    certify goes to ``economic_dispatch`` too, so every cost (or error) is
+    the scalar one.
     """
     gens = list(gens)
     if len(bits) == 0:
         return []
     on = np.asarray(bits, dtype=bool)
     on_f = on.astype(float)
+    demand = np.broadcast_to(np.asarray(demand, dtype=float), len(on))
     a, b, c, p_min, p_max = np.array([(g.a, g.b, g.c, g.p_min, g.p_max) for g in gens]).T.copy()
     linear = ~(a > 0)
     two_a = np.where(linear, 1.0, 2.0 * a)
     step_units = np.flatnonzero(linear)
 
-    def surplus(lam, on_rows):
-        """Committed output at each row's price minus demand."""
+    def surplus(lam, on_rows, need):
+        """Committed output at each row's price minus its demand."""
         lam = lam[:, None]
         p = lam - b
         p /= two_a
@@ -413,7 +416,7 @@ def dispatch_costs(bits, demand: float, gens) -> list[float]:
         np.minimum(p, p_max, out=p)
         for j in step_units:
             p[:, j] = np.where(lam[:, 0] > b[j], p_max[j], p_min[j])
-        return np.einsum("ij,ij->i", p, on_rows) - demand
+        return np.einsum("ij,ij->i", p, on_rows) - need
 
     lo_cap = np.einsum("ij,j->i", on_f, p_min)
     hi_cap = np.einsum("ij,j->i", on_f, p_max)
@@ -424,22 +427,23 @@ def dispatch_costs(bits, demand: float, gens) -> list[float]:
     lam_hi = np.where(on, 2.0 * a * p_max + b, -np.inf).max(axis=1)
     grow = np.flatnonzero(~scalar)
     while grow.size:
-        short = surplus(lam_hi[grow], on_f[grow])
+        short = surplus(lam_hi[grow], on_f[grow], demand[grow])
         unsure = np.abs(short) <= margin[grow]
         scalar[grow[unsure]] = True
         grow = grow[~unsure & (short < 0)]
         lam_hi[grow] += np.maximum(1.0, lam_hi[grow] - lam_lo[grow])
 
-    tol = 1e-9 * demand
     rows = np.flatnonzero(~scalar)
     lo, hi, on_rows, near = lam_lo[rows], lam_hi[rows], on_f[rows], margin[rows]
+    need = demand[rows]
+    tol = 1e-9 * need
     done = np.zeros(len(on), dtype=bool)
     lam_done = np.empty(len(on))
     for _ in range(_MAX_BISECT):
         if not rows.size:
             break
         lam = 0.5 * (lo + hi)
-        resid = surplus(lam, on_rows)
+        resid = surplus(lam, on_rows, need)
         size = np.abs(resid)
         # a midpoint equal to an end repeats forever: the price-step fallback
         stuck = (lam == lo) | (lam == hi)
@@ -451,18 +455,21 @@ def dispatch_costs(bits, demand: float, gens) -> list[float]:
             scalar[rows[settled & ~ok]] = True
             keep = ~settled
             rows, lam, resid, lo, hi = rows[keep], lam[keep], resid[keep], lo[keep], hi[keep]
-            on_rows, near = on_rows[keep], near[keep]
+            on_rows, near, need, tol = on_rows[keep], near[keep], need[keep], tol[keep]
         over = resid > 0
         hi = np.where(over, lam, hi)
         lo = np.where(over, lo, lam)
     scalar[rows] = True
 
     finished = np.flatnonzero(done)
-    cost, ok = _finish(lam_done[finished], on[finished].T, demand, a, b, c, p_min, p_max)
+    cost, ok = _finish(
+        lam_done[finished], on[finished].T, demand[finished], a, b, c, p_min, p_max
+    )
     scalar[finished[~ok]] = True
     costs = np.zeros(len(on))
     costs[finished] = cost
     costs = costs.tolist()
+    demand = demand.tolist()
     for r in np.flatnonzero(scalar).tolist():
-        costs[r] = economic_dispatch(on[r].tolist(), demand, gens).cost
+        costs[r] = economic_dispatch(on[r].tolist(), demand[r], gens).cost
     return costs

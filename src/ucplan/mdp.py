@@ -39,6 +39,16 @@ CommitmentAction = tuple[int, ...]
 # N = 8 and 16-24 at N = 12 (bundled instances, hours 3, 12 and 20)
 _BATCH_MIN = 24
 
+# most rows in one batch of ``reward_bound``'s day-wide pricing.  A batch
+# pays about 32 bisection midpoints of numpy calls (1.7-3.1 ms) whatever its
+# size, while its peak memory grows with its rows.  Pricing hours 1-23 of a
+# fresh MDP, alternated in one process: ``n8_t24`` (2 494 rows) takes 69 ms
+# hour by hour, 23 ms at a cap of 1 024 and 17 ms from 4 096 up, where the
+# whole day is one batch; ``n12_t24`` (39 040 rows) gains about 10% from
+# 4 096 up, and its tracemalloc peak (action table built beforehand) is
+# 4.7 MB at 4 096, 7.2 MB at 8 192 and 28 MB uncapped (4.5 MB hour by hour)
+_DAY_BATCH_ROWS = 4096
+
 
 def _set_limit_sums(aints: np.ndarray, masks, gens) -> tuple[np.ndarray, np.ndarray]:
     """Committed ``p_min`` and ``p_max`` sums of bit-packed actions, added
@@ -92,7 +102,10 @@ class UnitCommitmentMDP:
     costs and feasible sets are memoized internally because every solver
     re-evaluates the same (committed set, hour) pairs many times.  The
     per-hour table of set-limit-feasible actions is built on the first
-    feasible-set lookup, so replaying a plan builds none.
+    feasible-set lookup, so replaying a plan builds none.  The first
+    ``reward_bound`` call prices that table for the rest of the day in a
+    few dispatch batches; a search that never asks for a bound (lookahead
+    1) prices only what it scores, hour by hour.
 
     Every start-up price must be >= 0, as it is when ``e, f >= 0`` (which
     ``validate_instance`` checks): ``reward_bound`` relies on it.
@@ -177,8 +190,9 @@ class UnitCommitmentMDP:
         Minus the sum of the hour's dispatch cost and the exact (fsum)
         start-up bill of the units switching off -> on.  This is the only
         definition of the hourly reward.  Dispatch costs not yet memoised
-        are solved in one ``dispatch_costs`` batch when there are at least
-        ``_BATCH_MIN`` of them; the batch is bit-identical to the scalar path.
+        are solved by ``_price``: in one ``dispatch_costs`` batch when there
+        are at least ``_BATCH_MIN`` of them, which is bit-identical to the
+        scalar path.
         """
         starts = [
             (self._mask[i], self._startup_table[i][-st - 1])
@@ -188,18 +202,12 @@ class UnitCommitmentMDP:
         off = sum(mask for mask, _ in starts)
         memo = self._dispatch_cost_memo[hour]
         costs = list(map(memo.get, aints))
-        missing = [k for k, cost in enumerate(costs) if cost is None]
-        if len(missing) >= _BATCH_MIN:
-            batch = [aints[k] for k in missing]
-            bits = (np.array(batch)[:, None] & np.array(self._mask)) != 0
-            demand = self.instance.profile.demand[hour]
-            for k, aint, cost in zip(missing, batch, dispatch_costs(bits, demand, self._gens)):
-                memo[aint] = costs[k] = cost
+        if None in costs:
+            self._price([(hour, [a for a, cost in zip(aints, costs) if cost is None])])
+            costs = list(map(memo.get, aints))
         bills = {0: 0.0}  # start-up bill by the set of units switched on
         out = []
         for aint, cost in zip(aints, costs):
-            if cost is None:
-                cost = self.dispatch_cost_int(aint, hour)
             on = aint & off
             if on not in bills:
                 bills[on] = fsum([price for mask, price in starts if on & mask])
@@ -212,15 +220,59 @@ class UnitCommitmentMDP:
         The largest minus dispatch cost over the actions that pass the
         hour's set limits, -inf if none does.  Start-up bills are >= 0, so
         no reward exceeds its action's minus dispatch cost; priced from a
-        status with every unit on, which bills no start-up.
+        status with every unit on, which bills no start-up.  The first call
+        sets the bound of this and every later hour that has none
+        (``_bound_rest_of_day``), so a search pays a few dispatch batches
+        for all of them.
         """
-        bound = self._reward_bounds[hour]
-        if bound is None:
-            aints = self._feasible_for_locks(hour, 0, 0)
-            all_on = (1,) * self.n_units
-            bound = max(self.rewards(all_on, hour, aints), default=-inf)
-            self._reward_bounds[hour] = bound
-        return bound
+        if self._reward_bounds[hour] is None:
+            self._bound_rest_of_day(hour)
+        return self._reward_bounds[hour]
+
+    def _bound_rest_of_day(self, first: int) -> None:
+        """Set ``reward_bound`` of every hour from ``first`` on that has none.
+
+        The actions those hours still lack a dispatch cost for are priced
+        in batches of whole hours, each hour against its own demand, so a
+        search pays a few batches where one per hour cost far more.  A batch
+        takes another hour only while it stays within ``_DAY_BATCH_ROWS``
+        rows; an hour above that is priced alone.  Every cost is the scalar
+        one, so each bound is the one an hourly pricing gives.
+        """
+        hours = [h for h in range(first, self.horizon) if self._reward_bounds[h] is None]
+        pending, size = [], 0
+        for h in hours:
+            memo = self._dispatch_cost_memo[h]
+            unpriced = [a for a in self._feasible_for_locks(h, 0, 0) if a not in memo]
+            if pending and size + len(unpriced) > _DAY_BATCH_ROWS:
+                self._price(pending)
+                pending, size = [], 0
+            pending.append((h, unpriced))
+            size += len(unpriced)
+        self._price(pending)
+        all_on = (1,) * self.n_units
+        for h in hours:
+            aints = self._feasible_for_locks(h, 0, 0)
+            self._reward_bounds[h] = max(self.rewards(all_on, h, aints), default=-inf)
+
+    def _price(self, pending) -> None:
+        """Memoise the dispatch costs of ``(hour, bit-packed actions)`` pairs:
+        in one ``dispatch_costs`` batch when there are at least
+        ``_BATCH_MIN`` actions, else one ``dispatch_cost_int`` each."""
+        aints = [a for _, batch in pending for a in batch]
+        if len(aints) < _BATCH_MIN:
+            for h, batch in pending:
+                for aint in batch:
+                    self.dispatch_cost_int(aint, h)
+            return
+        bits = (np.array(aints)[:, None] & np.array(self._mask)) != 0
+        demand = self.instance.profile.demand
+        demands = np.repeat([demand[h] for h, _ in pending], [len(b) for _, b in pending])
+        costs = iter(dispatch_costs(bits, demands, self._gens))
+        for h, batch in pending:
+            memo = self._dispatch_cost_memo[h]
+            for aint in batch:
+                memo[aint] = next(costs)
 
     def dispatch_cost(self, action, hour: int) -> float:
         return self.dispatch_cost_int(self._int_of(action), hour)
@@ -332,10 +384,17 @@ class UnitCommitmentMDP:
     def _child_lock_masks(self, status) -> tuple[int, int]:
         """Units a child of ``status`` has locked on if committed now, and
         locked off if not: an action's child has locks ``aint & on_lock``
-        and ``~aint & off_lock``."""
-        n = self.n_units
-        on_lock = self._lock_masks(self._advance(status, (1,) * n))[0]
-        off_lock = self._lock_masks(self._advance(status, (0,) * n))[1]
+        and ``~aint & off_lock``.  Each unit's two child counters are
+        ``_advance``'s, tested as ``_lock_masks`` tests them."""
+        cap = STATUS_CAP
+        on_lock = off_lock = 0
+        for st, t_up, t_down, m in zip(status, self._t_up, self._t_down, self._mask):
+            up = st + 1 if 0 < st < cap else 1 if st < 0 else cap
+            if 0 < up < t_up:
+                on_lock |= m
+            down = st - 1 if -cap < st < 0 else -1 if st > 0 else -cap
+            if -t_down < down < 0:
+                off_lock |= m
         return on_lock, off_lock
 
     def _feasible_ints(self, status, hour: int) -> tuple[int, ...]:

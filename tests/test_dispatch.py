@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import fsum
 
 import numpy as np
@@ -240,6 +241,29 @@ def dispatch_cases(draw):
     return gens, action, demand
 
 
+@st.composite
+def rows_with_demands(draw):
+    """A ``fleets()`` fleet and up to 30 committed sets, each with its own
+    demand: anywhere its set limits admit, or on one of their edges, where
+    the residual lies within ``_SUM_MARGIN`` of a feasibility check."""
+    gens = draw(fleets())
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * len(gens)), min_size=1, max_size=30))
+    demands = []
+    for row in rows:
+        units = [g for g, bit in zip(gens, row) if bit]
+        lo = float(sum(g.p_min for g in units))
+        hi = float(sum(g.p_max for g in units))
+        demands.append(draw(st.sampled_from([lo, hi]) | st.floats(lo, hi)))
+    return gens, rows, demands
+
+
+# two linear units at one price: the bisection bracket collapses on the
+# price step, so these rows take the scalar solver's fallback
+PRICE_STEP_PAIR = [
+    make_gen(id=0, a=0.0, b=8.0, p_min=0.0, p_max=10.0),
+    make_gen(id=1, a=0.0, b=8.0, p_min=0.0, p_max=10.0),
+]
+
 # one unit a=0.01, b=8, p 0..1: a price step of one ulp moves it by about
 # 9e-14 MW, more than 1e-9 of these demands
 SMALL_QUADRATIC = [make_gen(id=0, a=0.01, b=8.0, p_min=0.0, p_max=1.0)]
@@ -299,13 +323,24 @@ class TestBatchedDispatch:
             rows = [row for row in actions if check_set_limits(row, demand, reserve, gens)]
             assert dispatch_costs(rows, demand, gens) == scalar_costs(rows, demand, gens)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=rows_with_demands())
+    @example(case=(PRICE_STEP_PAIR, [(1, 1), (1, 0), (0, 1), (1, 1)], [5.0, 10.0, 3.0, 20.0]))
+    def test_a_demand_per_row_equals_the_scalar_solver(self, case):
+        gens, rows, demands = case
+        got = list(map(repr, dispatch_costs(rows, demands, gens)))
+        assert got == [repr(economic_dispatch(r, d, gens).cost) for r, d in zip(rows, demands)]
+        # and one call per distinct demand
+        split = [None] * len(rows)
+        for demand in set(demands):
+            ks = [k for k, d in enumerate(demands) if d == demand]
+            for k, cost in zip(ks, dispatch_costs([rows[k] for k in ks], demand, gens)):
+                split[k] = repr(cost)
+        assert split == got
+
     def test_price_step_fallback(self):
-        # the fleet of test_degenerate_tie_resolved_by_id: two linear units at
-        # one price, so the bisection bracket collapses on the price step
-        gens = [
-            make_gen(id=0, a=0.0, b=8.0, p_min=0.0, p_max=10.0),
-            make_gen(id=1, a=0.0, b=8.0, p_min=0.0, p_max=10.0),
-        ]
+        # the fleet of test_degenerate_tie_resolved_by_id
+        gens = PRICE_STEP_PAIR
         rows = [(1, 1), (1, 0), (0, 1)]
         assert economic_dispatch((1, 1), 5.0, gens).degenerate
         for demand in (5.0, 10.0):
@@ -314,9 +349,18 @@ class TestBatchedDispatch:
     def test_empty_and_infeasible_sets_behave_as_the_scalar_solver(self):
         gens = [make_gen(id=0, p_min=10.0, p_max=100.0), make_gen(id=1, p_min=10.0, p_max=100.0)]
         assert dispatch_costs([], 50.0, gens) == []
+        assert dispatch_costs([], [], gens) == []
         assert dispatch_costs([(0, 0)], 0.0, gens) == [0.0]
-        with pytest.raises(InfeasibleDispatchError):
+        with pytest.raises(InfeasibleDispatchError) as scalar:
+            economic_dispatch((1, 0), 150.0, gens)
+        with pytest.raises(InfeasibleDispatchError, match=re.escape(str(scalar.value))):
             dispatch_costs([(1, 1), (1, 0)], 150.0, gens)
+        # each row against its own demand: only the second is out of range
+        assert dispatch_costs([(1, 1), (1, 0)], [150.0, 50.0], gens) == scalar_costs(
+            [(1, 1)], 150.0, gens
+        ) + scalar_costs([(1, 0)], 50.0, gens)
+        with pytest.raises(InfeasibleDispatchError, match=re.escape(str(scalar.value))):
+            dispatch_costs([(1, 1), (1, 0)], [50.0, 150.0], gens)
 
 
 def bit_equal(x, y):
@@ -405,6 +449,23 @@ class TestBatchedFinish:
         for demand, reserve in zip(inst.profile.demand, inst.profile.reserve):
             rows = [row for row in actions if check_set_limits(row, demand, reserve, gens)]
             dispatch_costs(rows, demand, gens)
+        assert len(calls) == handed_over
+
+    @pytest.mark.parametrize("name, handed_over", [("n8_t24", 6), ("n12_t24", 81)])
+    def test_a_whole_day_in_one_call_equals_one_call_per_hour(
+        self, name, handed_over, monkeypatch
+    ):
+        inst = load_instance(INSTANCES / f"{name}.json")
+        gens = inst.generators
+        actions = list(itertools.product((0, 1), repeat=inst.n_units))
+        rows, demands, hourly = [], [], []
+        for demand, reserve in zip(inst.profile.demand, inst.profile.reserve):
+            hour = [row for row in actions if check_set_limits(row, demand, reserve, gens)]
+            hourly += dispatch_costs(hour, demand, gens)
+            rows += hour
+            demands += [demand] * len(hour)
+        calls = self.scalar_calls(monkeypatch)
+        assert list(map(repr, dispatch_costs(rows, demands, gens))) == list(map(repr, hourly))
         assert len(calls) == handed_over
 
     def test_linear_unit_in_a_row_that_shifts_the_interior_units(self, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ucplan import (
     generation_cost,
     kkt_violation,
     load_instance,
+    run,
     startup_cost,
 )
 from ucplan import mdp
@@ -316,6 +318,55 @@ class TestReward:
         assert (bound == -math.inf) == (not aints)
 
 
+class TestDayWidePricing:
+    """The first ``reward_bound`` prices the rest of the day in a few batches."""
+
+    @pytest.mark.parametrize("name", ["n8_t24", "n12_t24"])
+    def test_bounds_and_costs_equal_an_hourly_pricing(self, name):
+        inst = load_instance(INSTANCES / f"{name}.json")
+        all_on = (1,) * inst.n_units
+        hourly = UnitCommitmentMDP(inst)
+        want = [
+            max(hourly.rewards(all_on, h, hourly._feasible_for_locks(h, 0, 0)), default=-math.inf)
+            for h in range(inst.horizon)
+        ]
+        env = UnitCommitmentMDP(inst)
+        # priced in part first, as a search prices its root
+        status = env.initial_state().status
+        env.rewards(status, 0, env._feasible_ints(status, 0))
+        env.rewards(status, 6, env._feasible_ints(status, 6))
+        env.reward_bound(5)
+        assert env._reward_bounds[:5] == [None] * 5
+        got = [env.reward_bound(h) for h in range(inst.horizon)]
+        assert list(map(repr, got)) == list(map(repr, want))
+        for memo, reference in zip(env._dispatch_cost_memo, hourly._dispatch_cost_memo):
+            assert {a: repr(c) for a, c in memo.items()} == {
+                a: repr(c) for a, c in reference.items()
+            }
+
+    @pytest.mark.parametrize("name", ["n8_t24", "n12_t24"])
+    def test_a_one_hour_lookahead_asks_for_no_bound(self, monkeypatch, name):
+        def refused(self, hour):
+            raise AssertionError(f"reward_bound({hour}) called")
+
+        monkeypatch.setattr(UnitCommitmentMDP, "reward_bound", refused)
+        run(load_instance(INSTANCES / f"{name}.json"), "tree", lookahead=1)
+
+    def test_the_first_bound_of_a_large_fleet_prices_in_small_batches(self):
+        # n12_t24 has 39 040 set-limit-feasible rows over the day: priced in
+        # one batch they peak at 31 MB, in batches of at most _DAY_BATCH_ROWS
+        # at 5.4 MB, the action table and the memo included
+        env = UnitCommitmentMDP(load_instance(INSTANCES / "n12_t24.json"))
+        tracemalloc.start()
+        try:
+            env.reward_bound(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert None not in env._reward_bounds
+        assert peak < 10e6
+
+
 def child_lock_masks_by_loop(env, status):
     """``_child_lock_masks`` written out unit by unit: each child counter
     advanced by hand and tested against its unit's lock."""
@@ -336,6 +387,19 @@ class TestChildLockMasks:
         env = env_for(gens, demand=[60.0] * 2)
         for status in all_statuses(2):
             assert env._child_lock_masks(status) == child_lock_masks_by_loop(env, status)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_pass_equals_the_masks_of_the_advanced_children(self, data):
+        n = data.draw(st.integers(1, 8))
+        locks = st.integers(1, STATUS_CAP + 2)
+        gens = [make_gen(id=i, t_up=data.draw(locks), t_down=data.draw(locks)) for i in range(n)]
+        env = env_for(gens, demand=[60.0])
+        signed = st.integers(-STATUS_CAP, STATUS_CAP).filter(bool)
+        status = tuple(data.draw(st.lists(signed, min_size=n, max_size=n)))
+        on_lock = env._lock_masks(env._advance(status, (1,) * n))[0]
+        off_lock = env._lock_masks(env._advance(status, (0,) * n))[1]
+        assert env._child_lock_masks(status) == (on_lock, off_lock)
 
 
 class TestCatastrophe:

@@ -20,6 +20,7 @@ from ucplan import (
     tree_search_policy,
     treesearch,
 )
+from ucplan import mdp
 from ucplan.mdp import BIG
 
 from conftest import INSTANCES, cold_start, make_gen, make_instance
@@ -430,6 +431,25 @@ class TestBranchAndBound:
         monkeypatch.setattr(treesearch, "_search", counted)
         run(load_instance(INSTANCES / "n8_t24.json"), algorithm, lookahead=3, **options)
         assert calls == want
+
+    def test_dispatch_calls_on_the_bundled_n8_instance(self, monkeypatch):
+        # tree H=3 batches the first root's candidates, then the rest of the
+        # day from the first bound it asks for (hour 2), then hour 1; every
+        # later node finds its costs memoised, and the replay solves each
+        # committed hour once
+        calls = {"batched": 0, "scalar": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(mdp, "dispatch_costs", counted("batched", mdp.dispatch_costs))
+        monkeypatch.setattr(mdp, "economic_dispatch", counted("scalar", mdp.economic_dispatch))
+        run(load_instance(INSTANCES / "n8_t24.json"), "tree", lookahead=3)
+        assert calls == {"batched": 3, "scalar": 24}
 
     def test_tree_sub_covering_every_feasible_set_is_the_exact_search(self, monkeypatch):
         # with K = 2**N no node draws, so tree-sub walks the exact search's
