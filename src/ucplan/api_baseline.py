@@ -111,14 +111,17 @@ class PerceptronTreePolicy:
 
     def classify(self, state: SystemState, env) -> CommitmentAction:
         """Tree-predicted action projected onto the feasible set: the
-        Hamming-nearest feasible action, ties to the smallest.  Every
-        feasible action carries the locked bits, so forcing them first
-        would change no distance ranking."""
+        Hamming-nearest feasible action whose child is not a dead end, or
+        the nearest of all when every child is one; ties to the smallest.
+        Every feasible action carries the locked bits, so forcing them
+        first would change no distance ranking."""
         raw = env._int_of(self._raw_bits(state, env))
         feas = env._feasible_ints(state.status, state.hour)
         if not feas:
             raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
-        return env._bits_of(min(feas, key=lambda a: (a ^ raw).bit_count()))
+        dead = env.child_dead_end(state.status, state.hour)
+        ranked = sorted(feas, key=lambda a: (a ^ raw).bit_count())
+        return env._bits_of(next((a for a in ranked if not dead(a)), ranked[0]))
 
     def update(self, state: SystemState, target: CommitmentAction, env) -> None:
         """Perceptron updates along the target's bit path."""

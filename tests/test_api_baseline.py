@@ -291,6 +291,18 @@ class TestPerceptronTree:
                     continue
                 assert policy.classify(state, env) in env.feasible_actions(state)
 
+    def test_projection_prefers_an_action_whose_child_is_live(self):
+        # the tree points at (0, 1), the nearest feasible action, but its
+        # child has unit 0 locked off below hour 1's demand; of the live
+        # ones (1, 1) is nearer than (1, 0)
+        env = trap_env()
+        state = SystemState((5, 5), 0)
+        policy = PerceptronTreePolicy(env.horizon, env.n_units)
+        policy.update(state, (0, 1), env)
+        assert policy._raw_bits(state, env) == (0, 1)
+        assert env.child_dead_end(state.status, 0)(env._int_of((0, 1)))
+        assert policy.classify(state, env) == (1, 1)
+
     def test_projection_matches_forcing_locks_first(self):
         # unit 0 is locked off; the other three are free but any three
         # minimum outputs together exceed the demand
@@ -385,6 +397,14 @@ class TestApproximatePolicyIteration:
                 continue
             objectives.append(env.schedule_cost(plan).objective)
         assert sol.objective < np.mean(objectives)
+
+    def test_readout_steers_clear_of_a_dead_end(self):
+        # the nearest feasible action at hour 4 has a dead-end child, while
+        # 8 of the 10 feasible actions have live ones: the readout used to
+        # stop with "no feasible action at hour 5"
+        env = UnitCommitmentMDP(gen_instance(4, 8, 1))
+        _, sol = approximate_policy_iteration(3, 0.01, 0.1, 100, np.random.default_rng(0), env)
+        assert env.replay(sol.actions).objective == sol.objective == pytest.approx(108178.55)
 
     def test_mid_scale_run_produces_a_feasible_schedule(self):
         inst = gen_instance(4, 8, 42)
