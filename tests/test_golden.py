@@ -10,10 +10,11 @@ action table, and the API baseline's before its features went through
 the MDP's shared dead-end predicate.  Every tree-sub digest was recorded
 again, on purpose, when each node's neighbourhood sample came to be
 drawn from a generator seeded by the node itself instead of one stream
-shared along the search.  Each tree, tree-sub and back-sweep digest
-covers a solver's emitted ``schedule.csv`` text plus the ``repr`` of its
-per-hour step values, so a change in the last bit of any value the
-search reports fails here.  The small solver instance has a
+shared along the search, and the API baseline's plan digest when its
+readout came to prefer actions whose child has a feasible action.  Each
+tree, tree-sub and back-sweep digest covers a solver's emitted
+``schedule.csv`` text plus the ``repr`` of its per-hour step values, so a
+change in the last bit of any value the search reports fails here.  The small solver instance has a
 multi-start-up hour in all three plans; the oracle instance starts both
 units off, and its optimum starts both in hour 0.  The API baseline's
 plan digest covers its ``schedule.csv`` text plus the ``repr`` of its
@@ -93,7 +94,7 @@ LARGE_FLEET_DIGESTS = {
 # API baseline on ``gen_instance(6, 24, 1)``: seed 0, 3 iterations of 200
 # episodes; the weights are one ``sarsa_evaluate`` (alpha 0.01, epsilon 0.1,
 # 200 episodes, generator seed 0) of a fresh tree policy
-API_PLAN_DIGEST = "4758d01debcc2ef8ca89c02f23ec6187b21652cba66feb94fc8c0c16e091042b"
+API_PLAN_DIGEST = "cef0ad78bc318faaf7e6a0a6e5cc464809274ad0465dab2c0e3caadf6730d680"
 API_WEIGHTS_DIGEST = "61be3b675fce487f87fdbb84185347aa980f0320eaa37533d1b987965fe487bb"
 
 EXACT_DP_DIGEST = "943382c9e6e6612749be0b1d92b2722568b78274a990ebe9ccb336186013ae5b"
