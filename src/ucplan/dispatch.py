@@ -455,7 +455,8 @@ def dispatch_costs(bits, demand, gens) -> list[float]:
             scalar[rows[settled & ~ok]] = True
             keep = ~settled
             rows, lam, resid, lo, hi = rows[keep], lam[keep], resid[keep], lo[keep], hi[keep]
-            on_rows, near, need, tol = on_rows[keep], near[keep], need[keep], tol[keep]
+            near, need, tol = near[keep], need[keep], tol[keep]
+            on_rows = np.compress(keep, on_rows, axis=0)  # faster than on_rows[keep]
         over = resid > 0
         hi = np.where(over, lam, hi)
         lo = np.where(over, lo, lam)
@@ -469,7 +470,6 @@ def dispatch_costs(bits, demand, gens) -> list[float]:
     costs = np.zeros(len(on))
     costs[finished] = cost
     costs = costs.tolist()
-    demand = demand.tolist()
     for r in np.flatnonzero(scalar).tolist():
-        costs[r] = economic_dispatch(on[r].tolist(), demand[r], gens).cost
+        costs[r] = economic_dispatch(on[r].tolist(), float(demand[r]), gens).cost
     return costs
