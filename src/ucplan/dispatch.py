@@ -10,9 +10,9 @@ step function and are filled in merit order of b, ties by generator id.
 ``economic_dispatch`` is the scalar reference.  ``dispatch_costs`` runs the
 same bisection and the same balance polish for many committed sets at once,
 each against its own demand, on numpy blocks and returns costs equal to the
-scalar ones bit for bit: its
-fsums go through ``row_fsum``, a row-wise sum built from error-free
-transformations that certifies where it equals ``math.fsum``.
+scalar ones bit for bit: its fsums go through ``row_fsum``, a row-wise sum
+built from error-free transformations that certifies where it equals
+``math.fsum``.
 ``kkt_violation`` certifies a returned dispatch against the optimality
 conditions.
 """

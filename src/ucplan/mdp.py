@@ -42,9 +42,9 @@ _BATCH_MIN = 24
 # most rows in one batch of ``reward_bound``'s day-wide pricing.  A batch
 # pays about 32 bisection midpoints of numpy calls (1.7-3.1 ms) whatever its
 # size, while its peak memory grows with its rows.  Pricing hours 1-23 of a
-# fresh MDP, alternated in one process: ``n8_t24`` (2 494 rows) takes 69 ms
-# hour by hour, 23 ms at a cap of 1 024 and 17 ms from 4 096 up, where the
-# whole day is one batch; ``n12_t24`` (39 040 rows) gains about 10% from
+# fresh MDP, alternated in one process: ``n8_t24`` (2 494 rows over the
+# day) takes 69 ms hour by hour, 23 ms at a cap of 1 024 and 17 ms from
+# 4 096 up, where the day is one batch; ``n12_t24`` (39 040) gains 10% from
 # 4 096 up, and its tracemalloc peak (action table built beforehand) is
 # 4.7 MB at 4 096, 7.2 MB at 8 192 and 28 MB uncapped (4.5 MB hour by hour)
 _DAY_BATCH_ROWS = 4096
@@ -220,40 +220,34 @@ class UnitCommitmentMDP:
         The largest minus dispatch cost over the actions that pass the
         hour's set limits, -inf if none does.  Start-up bills are >= 0, so
         no reward exceeds its action's minus dispatch cost; priced from a
-        status with every unit on, which bills no start-up.  The first call
-        sets the bound of this and every later hour that has none
-        (``_bound_rest_of_day``), so a search pays a few dispatch batches
-        for all of them.
+        status with every unit on, which bills no start-up.
+
+        The first call sets the bound of this and of every later hour that
+        has none.  The actions those hours still lack a dispatch cost for
+        are priced in batches of whole hours, each hour against its own
+        demand, so a search pays a few batches where one per hour cost far
+        more.  A batch takes another hour only while it stays within
+        ``_DAY_BATCH_ROWS`` rows; an hour above that is priced alone.  Every
+        cost is the scalar one, so each bound is the one an hourly pricing
+        gives.
         """
         if self._reward_bounds[hour] is None:
-            self._bound_rest_of_day(hour)
+            hours = [h for h in range(hour, self.horizon) if self._reward_bounds[h] is None]
+            pending, size = [], 0
+            for h in hours:
+                memo = self._dispatch_cost_memo[h]
+                unpriced = [a for a in self._feasible_for_locks(h, 0, 0) if a not in memo]
+                if pending and size + len(unpriced) > _DAY_BATCH_ROWS:
+                    self._price(pending)
+                    pending, size = [], 0
+                pending.append((h, unpriced))
+                size += len(unpriced)
+            self._price(pending)
+            all_on = (1,) * self.n_units
+            for h in hours:
+                aints = self._feasible_for_locks(h, 0, 0)
+                self._reward_bounds[h] = max(self.rewards(all_on, h, aints), default=-inf)
         return self._reward_bounds[hour]
-
-    def _bound_rest_of_day(self, first: int) -> None:
-        """Set ``reward_bound`` of every hour from ``first`` on that has none.
-
-        The actions those hours still lack a dispatch cost for are priced
-        in batches of whole hours, each hour against its own demand, so a
-        search pays a few batches where one per hour cost far more.  A batch
-        takes another hour only while it stays within ``_DAY_BATCH_ROWS``
-        rows; an hour above that is priced alone.  Every cost is the scalar
-        one, so each bound is the one an hourly pricing gives.
-        """
-        hours = [h for h in range(first, self.horizon) if self._reward_bounds[h] is None]
-        pending, size = [], 0
-        for h in hours:
-            memo = self._dispatch_cost_memo[h]
-            unpriced = [a for a in self._feasible_for_locks(h, 0, 0) if a not in memo]
-            if pending and size + len(unpriced) > _DAY_BATCH_ROWS:
-                self._price(pending)
-                pending, size = [], 0
-            pending.append((h, unpriced))
-            size += len(unpriced)
-        self._price(pending)
-        all_on = (1,) * self.n_units
-        for h in hours:
-            aints = self._feasible_for_locks(h, 0, 0)
-            self._reward_bounds[h] = max(self.rewards(all_on, h, aints), default=-inf)
 
     def _price(self, pending) -> None:
         """Memoise the dispatch costs of ``(hour, bit-packed actions)`` pairs:
