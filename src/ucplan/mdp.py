@@ -253,7 +253,7 @@ class UnitCommitmentMDP:
         """Memoise the dispatch costs of ``(hour, bit-packed actions)`` pairs:
         in one ``dispatch_costs`` batch when there are at least
         ``_BATCH_MIN`` actions, else one ``dispatch_cost_int`` each."""
-        aints = [a for _, batch in pending for a in batch]
+        aints = list(itertools.chain.from_iterable(batch for _, batch in pending))
         if len(aints) < _BATCH_MIN:
             for h, batch in pending:
                 for aint in batch:
@@ -262,11 +262,11 @@ class UnitCommitmentMDP:
         bits = (np.array(aints)[:, None] & np.array(self._mask)) != 0
         demand = self.instance.profile.demand
         demands = np.repeat([demand[h] for h, _ in pending], [len(b) for _, b in pending])
-        costs = iter(dispatch_costs(bits, demands, self._gens))
+        costs = dispatch_costs(bits, demands, self._gens)
+        start = 0
         for h, batch in pending:
-            memo = self._dispatch_cost_memo[h]
-            for aint in batch:
-                memo[aint] = next(costs)
+            self._dispatch_cost_memo[h].update(zip(batch, costs[start:start + len(batch)]))
+            start += len(batch)
 
     def dispatch_cost(self, action, hour: int) -> float:
         return self.dispatch_cost_int(self._int_of(action), hour)
