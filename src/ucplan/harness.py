@@ -217,6 +217,7 @@ class RunReport:
     runtime_s: float
     seed: int
     solution: ScheduleSolution
+    stats: dict  # the MDP's dispatch counters over the solve and its audit
 
 
 def parse_warm_start(spec_text: str) -> int:
@@ -282,6 +283,9 @@ def run(
     elif algorithm == "backsweep":
         warm_h = parse_warm_start(warm_start)
         config.update({"ns": n_samples, "warm_start": f"tree:H={warm_h}"})
+        # the sweep scores (nearly) every set-limit-feasible action of the
+        # day: price them all in a few batches, before the warm start
+        env.price_day()
         warm = tree_search_policy(warm_h, env)
         rng = np.random.default_rng(seed)
         slices = evaluate_states(n_samples, warm.terminal_state, env, rng)
@@ -311,6 +315,11 @@ def run(
         runtime_s=runtime,
         seed=seed,
         solution=solution,
+        stats={
+            "dispatch_batches": env.dispatch_batches,
+            "batched_rows": env.batched_rows,
+            "scalar_dispatches": env.scalar_dispatches,
+        },
     )
 
 
@@ -374,6 +383,7 @@ def write_run(report: RunReport, out_dir, instance: ProblemInstance) -> None:
         "startup_usd": report.startup,
         "runtime_s": report.runtime_s,
         "seed": report.seed,
+        "stats": report.stats,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 

@@ -39,7 +39,7 @@ CommitmentAction = tuple[int, ...]
 # N = 8 and 16-24 at N = 12 (bundled instances, hours 3, 12 and 20)
 _BATCH_MIN = 24
 
-# most rows in one batch of ``reward_bound``'s day-wide pricing.  A batch
+# most rows in one batch of ``price_day``'s day-wide pricing.  A batch
 # pays about 32 bisection midpoints of numpy calls (1.7-3.1 ms) whatever its
 # size, while its peak memory grows with its rows.  Pricing hours 1-23 of a
 # fresh MDP, alternated in one process: ``n8_t24`` (2 494 rows over the
@@ -102,10 +102,16 @@ class UnitCommitmentMDP:
     costs and feasible sets are memoized internally because every solver
     re-evaluates the same (committed set, hour) pairs many times.  The
     per-hour table of set-limit-feasible actions is built on the first
-    feasible-set lookup, so replaying a plan builds none.  The first
-    ``reward_bound`` call prices that table for the rest of the day in a
-    few dispatch batches; a search that never asks for a bound (lookahead
-    1) prices only what it scores, hour by hour.
+    feasible-set lookup, so replaying a plan builds none.  ``price_day``
+    prices that whole table in a few dispatch batches: the first
+    ``reward_bound`` call runs it, and so does the back sweep before its
+    warm start, as both end up pricing (nearly) every row.  A search that
+    never asks for a bound (lookahead 1) prices only what it scores, hour
+    by hour.
+
+    ``dispatch_batches`` and ``batched_rows`` count the ``dispatch_costs``
+    calls and the rows they priced, ``scalar_dispatches`` the one-action
+    ``economic_dispatch`` calls (memo misses and replayed hours).
 
     Every start-up price must be >= 0, as it is when ``e, f >= 0`` (which
     ``validate_instance`` checks): ``reward_bound`` relies on it.
@@ -138,6 +144,9 @@ class UnitCommitmentMDP:
         # one int object per action; memoised feasible sets share them
         # rather than each holding its own copies (28 bytes an int)
         self._int_objects: list[int] | None = None
+        self.dispatch_batches = 0
+        self.batched_rows = 0
+        self.scalar_dispatches = 0
 
     # -- state space ----------------------------------------------------
 
@@ -222,32 +231,40 @@ class UnitCommitmentMDP:
         no reward exceeds its action's minus dispatch cost; priced from a
         status with every unit on, which bills no start-up.
 
-        The first call sets the bound of this and of every later hour that
-        has none.  The actions those hours still lack a dispatch cost for
-        are priced in batches of whole hours, each hour against its own
-        demand, so a search pays a few batches where one per hour cost far
-        more.  A batch takes another hour only while it stays within
-        ``_DAY_BATCH_ROWS`` rows; an hour above that is priced alone.  Every
-        cost is the scalar one, so each bound is the one an hourly pricing
-        gives.
+        The first call runs ``price_day`` and sets the bound of every hour.
+        Every cost is the scalar one, so each bound is the one an hourly
+        pricing gives.
         """
         if self._reward_bounds[hour] is None:
-            hours = [h for h in range(hour, self.horizon) if self._reward_bounds[h] is None]
-            pending, size = [], 0
-            for h in hours:
-                memo = self._dispatch_cost_memo[h]
-                unpriced = [a for a in self._feasible_for_locks(h, 0, 0) if a not in memo]
-                if pending and size + len(unpriced) > _DAY_BATCH_ROWS:
-                    self._price(pending)
-                    pending, size = [], 0
-                pending.append((h, unpriced))
-                size += len(unpriced)
-            self._price(pending)
+            self.price_day()
             all_on = (1,) * self.n_units
-            for h in hours:
-                aints = self._feasible_for_locks(h, 0, 0)
-                self._reward_bounds[h] = max(self.rewards(all_on, h, aints), default=-inf)
+            self._reward_bounds = [
+                max(self.rewards(all_on, h, self._feasible_for_locks(h, 0, 0)), default=-inf)
+                for h in range(self.horizon)
+            ]
         return self._reward_bounds[hour]
+
+    def price_day(self) -> None:
+        """Memoise the dispatch cost of every action that passes its hour's
+        set limits, for every hour of the day.
+
+        The costs not yet memoised are priced in batches of whole hours,
+        each row against its own hour's demand, so the day costs a few
+        ``dispatch_costs`` calls where one per hour costs far more.  A batch
+        takes another hour only while it stays within ``_DAY_BATCH_ROWS``
+        rows; an hour above that is priced alone.  Every cost is the scalar
+        one, so the memo ends up as an hourly pricing leaves it.
+        """
+        pending, size = [], 0
+        for h in range(self.horizon):
+            memo = self._dispatch_cost_memo[h]
+            unpriced = [a for a in self._feasible_for_locks(h, 0, 0) if a not in memo]
+            if pending and size + len(unpriced) > _DAY_BATCH_ROWS:
+                self._price(pending)
+                pending, size = [], 0
+            pending.append((h, unpriced))
+            size += len(unpriced)
+        self._price(pending)
 
     def _price(self, pending) -> None:
         """Memoise the dispatch costs of ``(hour, bit-packed actions)`` pairs:
@@ -263,6 +280,8 @@ class UnitCommitmentMDP:
         demand = self.instance.profile.demand
         demands = np.repeat([demand[h] for h, _ in pending], [len(b) for _, b in pending])
         costs = dispatch_costs(bits, demands, self._gens)
+        self.dispatch_batches += 1
+        self.batched_rows += len(aints)
         start = 0
         for h, batch in pending:
             self._dispatch_cost_memo[h].update(zip(batch, costs[start:start + len(batch)]))
@@ -298,6 +317,7 @@ class UnitCommitmentMDP:
             result = economic_dispatch(
                 action, self.instance.profile.demand[hour], self._gens
             )
+            self.scalar_dispatches += 1
             dispatches.append(result)
             for i, bit in enumerate(action):
                 if bit:
@@ -452,5 +472,6 @@ class UnitCommitmentMDP:
             cost = economic_dispatch(
                 self._bits_of(aint), self.instance.profile.demand[hour], self._gens
             ).cost
+            self.scalar_dispatches += 1
             memo[aint] = cost
         return cost

@@ -116,13 +116,15 @@ def _best(
     """
     if _at_cutoff(env, hour, depth):
         return _cutoff_best(env, status, hour, cands)
+    # bound first: the first bound prices the whole day, this hour included
+    tail = _tail_bound(env, hour + 1, depth - 1)
     rewards = env.rewards(status, hour, cands)
 
     def score(k: int) -> float:
         child = env._advance(status, env._bits_of(cands[k]))
         return rewards[k] + _search(env, child, hour + 1, depth - 1, expand, cands[k])
 
-    return _bounded_best(rewards, _tail_bound(env, hour + 1, depth - 1), score)
+    return _bounded_best(rewards, tail, score)
 
 
 def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor) -> float:

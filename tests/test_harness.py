@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -20,13 +21,14 @@ from ucplan import (
     save_instance,
     validate_instance,
 )
-from ucplan import harness
+from ucplan import harness, mdp
 from ucplan.cli import main as uc_main
 from ucplan.harness import (
     instance_to_dict,
     render_report,
     report_csv_text,
     schedule_csv_text,
+    write_run,
 )
 
 from conftest import INSTANCES, make_gen, make_instance
@@ -260,6 +262,57 @@ class TestRun:
         assert not (tmp_path / "tampered").exists()
 
 
+class TestDispatchCounters:
+    """The MDP's dispatch counters, as ``run`` reports them, on ``n8_t24``."""
+
+    # want: the counters, and the sha256 of ``schedule.csv`` recorded before
+    # the counters came in
+    @pytest.mark.parametrize("algorithm,options,want,digest", [
+        # the back sweep prices the day in one batch before its warm start;
+        # the scalar calls are the warm start's and the plan's replays
+        ("backsweep", {}, (1, 2494, 48),
+         "31bbec78965df04b4ad1acb17c6f6d2b97e592b2ec710dcc6cda41a4ded55d11"),
+        ("tree", {"lookahead": 3}, (1, 2494, 24),
+         "2ef8a7fd674d96eee086b41c7f959ec40ebdb3605d585086c60f141ab6569248"),
+        # hour by hour: 89 memo misses below the batch size plus the replay
+        ("tree", {"lookahead": 1}, (17, 1371, 113),
+         "39bf2ea746c4319e0118af1e5a7d469e849ac1da57a3241b262436177121885e"),
+    ], ids=["backsweep", "tree-h3", "tree-h1"])
+    def test_counts_equal_the_wrapped_calls_and_repeat(
+        self, monkeypatch, tmp_path, algorithm, options, want, digest
+    ):
+        calls = [0, 0, 0]
+        batched, scalar = mdp.dispatch_costs, mdp.economic_dispatch
+
+        def counted_batch(bits, *args):
+            calls[0] += 1
+            calls[1] += len(bits)
+            return batched(bits, *args)
+
+        def counted_scalar(*args):
+            calls[2] += 1
+            return scalar(*args)
+
+        monkeypatch.setattr(mdp, "dispatch_costs", counted_batch)
+        monkeypatch.setattr(mdp, "economic_dispatch", counted_scalar)
+        inst = load_instance(INSTANCES / "n8_t24.json")
+        stats = []
+        for k in range(2):
+            calls[:] = [0, 0, 0]
+            report = run(inst, algorithm, **options)
+            assert tuple(calls) == want
+            stats.append(report.stats)
+            write_run(report, tmp_path / str(k), inst)
+        assert stats[0] == stats[1] == dict(
+            zip(["dispatch_batches", "batched_rows", "scalar_dispatches"], want)
+        )
+        summary = json.loads((tmp_path / "0" / "summary.json").read_text())
+        assert summary["stats"] == stats[0]
+        for k in range(2):
+            text = (tmp_path / str(k) / "schedule.csv").read_bytes()
+            assert hashlib.sha256(text).hexdigest() == digest
+
+
 class TestCli:
     def test_gen_solve_report_round_trip(self, tmp_path, capsys):
         inst_path = tmp_path / "tiny.json"
@@ -276,7 +329,7 @@ class TestCli:
         summary = json.loads((out1 / "summary.json").read_text())
         assert set(summary) == {
             "algorithm", "config", "objective_usd", "generation_usd",
-            "startup_usd", "runtime_s", "seed",
+            "startup_usd", "runtime_s", "seed", "stats",
         }
         assert uc_main(["report", str(out1), str(out2), "-o", str(tmp_path / "roll.csv")]) == 0
         roll = (tmp_path / "roll.csv").read_text().splitlines()

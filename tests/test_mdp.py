@@ -319,10 +319,16 @@ class TestReward:
 
 
 class TestDayWidePricing:
-    """The first ``reward_bound`` prices the rest of the day in a few batches."""
+    """``price_day``, which the first ``reward_bound`` runs, prices the whole
+    day in a few batches."""
 
-    @pytest.mark.parametrize("name", ["n8_t24", "n12_t24"])
-    def test_bounds_and_costs_equal_an_hourly_pricing(self, name):
+    @pytest.mark.parametrize("name,first", [
+        pytest.param("n8_t24", "reward_bound", id="n8_t24"),
+        pytest.param("n12_t24", "reward_bound", id="n12_t24"),
+        pytest.param("n8_t24", "price_day", id="n8_t24-price_day"),
+        pytest.param("n12_t24", "price_day", id="n12_t24-price_day"),
+    ])
+    def test_bounds_and_costs_equal_an_hourly_pricing(self, name, first):
         inst = load_instance(INSTANCES / f"{name}.json")
         all_on = (1,) * inst.n_units
         hourly = UnitCommitmentMDP(inst)
@@ -331,13 +337,20 @@ class TestDayWidePricing:
             for h in range(inst.horizon)
         ]
         env = UnitCommitmentMDP(inst)
-        # priced in part first, as a search prices its root
-        status = env.initial_state().status
-        env.rewards(status, 0, env._feasible_ints(status, 0))
-        env.rewards(status, 6, env._feasible_ints(status, 6))
-        env.reward_bound(5)
-        assert env._reward_bounds[:5] == [None] * 5
+        if first == "price_day":
+            # on a fresh MDP; the bounds below then price nothing more
+            env.price_day()
+            priced = (env.dispatch_batches, env.batched_rows, env.scalar_dispatches)
+        else:
+            # priced in part first, as a search prices its root
+            status = env.initial_state().status
+            env.rewards(status, 0, env._feasible_ints(status, 0))
+            env.rewards(status, 6, env._feasible_ints(status, 6))
+            env.reward_bound(5)
+            assert None not in env._reward_bounds
         got = [env.reward_bound(h) for h in range(inst.horizon)]
+        if first == "price_day":
+            assert (env.dispatch_batches, env.batched_rows, env.scalar_dispatches) == priced
         assert list(map(repr, got)) == list(map(repr, want))
         for memo, reference in zip(env._dispatch_cost_memo, hourly._dispatch_cost_memo):
             assert {a: repr(c) for a, c in memo.items()} == {
@@ -346,10 +359,11 @@ class TestDayWidePricing:
 
     @pytest.mark.parametrize("name", ["n8_t24", "n12_t24"])
     def test_a_one_hour_lookahead_asks_for_no_bound(self, monkeypatch, name):
-        def refused(self, hour):
-            raise AssertionError(f"reward_bound({hour}) called")
+        def refused(self, *args):
+            raise AssertionError(f"bound or day pricing called with {args}")
 
         monkeypatch.setattr(UnitCommitmentMDP, "reward_bound", refused)
+        monkeypatch.setattr(UnitCommitmentMDP, "price_day", refused)
         run(load_instance(INSTANCES / f"{name}.json"), "tree", lookahead=1)
 
     def test_the_first_bound_of_a_large_fleet_prices_in_small_batches(self):

@@ -433,10 +433,10 @@ class TestBranchAndBound:
         assert calls == want
 
     def test_dispatch_calls_on_the_bundled_n8_instance(self, monkeypatch):
-        # tree H=3 batches the first root's candidates, then the rest of the
-        # day from the first bound it asks for (hour 2), then hour 1; every
-        # later node finds its costs memoised, and the replay solves each
-        # committed hour once
+        # tree H=3 asks for its first bound before it scores the first
+        # root's candidates, and that bound prices the whole day in one
+        # batch (2 494 rows); every node finds its costs memoised, and the
+        # replay solves each committed hour once
         calls = {"batched": 0, "scalar": 0}
 
         def counted(kind, fn):
@@ -449,7 +449,7 @@ class TestBranchAndBound:
         monkeypatch.setattr(mdp, "dispatch_costs", counted("batched", mdp.dispatch_costs))
         monkeypatch.setattr(mdp, "economic_dispatch", counted("scalar", mdp.economic_dispatch))
         run(load_instance(INSTANCES / "n8_t24.json"), "tree", lookahead=3)
-        assert calls == {"batched": 3, "scalar": 24}
+        assert calls == {"batched": 1, "scalar": 24}
 
     def test_tree_sub_covering_every_feasible_set_is_the_exact_search(self, monkeypatch):
         # with K = 2**N no node draws, so tree-sub walks the exact search's
