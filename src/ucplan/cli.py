@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     # benchmark/run.py passes ``--threads 1`` on every solve, and is the only
     # reason this flag exists; it goes when the benchmark stops passing it
-    # (ROADMAP item 1(a)).  Every other value is refused.
+    # (ROADMAP items 2(b) and 2(c)).  Every other value is refused.
     solve.add_argument("--threads", type=int, default=1, help="must be 1")
     solve.add_argument(
         "--warm-start", default="tree:H=1", help="back sweep anchor, e.g. tree:H=1"

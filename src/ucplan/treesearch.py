@@ -18,20 +18,17 @@ around the action that reached the node, with Hamming distances taken as
 the popcount of an XOR.  Both score an edge with
 ``UnitCommitmentMDP.rewards``, the one definition of the hourly reward, and
 commit hour by hour from the initial state through
-``UnitCommitmentMDP.rollout``.  A node whose children sit at the depth
-cutoff, the root included, scores its candidates straight from the reward
-vector, minus ``BIG`` for each child with no feasible action, and keeps the
-first maximum (``_cutoff_best``).
+``UnitCommitmentMDP.rollout``.
 
-Both searches are one branch and bound.  Start-up prices are >= 0, so
+``_best`` is one branch and bound.  Start-up prices are >= 0, so
 ``UnitCommitmentMDP.reward_bound(h)``, the best minus dispatch cost over
 the actions that pass hour h's set limits, bounds every reward at hour h
 from any state; ``_tail_bound`` sums these bounds into one for a whole
-subtree.  A node walks its candidates in descending reward and stops at
-the first whose reward plus its children's bound falls below the best
-value so far, so the returned maximum, and the root's first-maximum
-choice, are those of full enumeration over the same candidates bit for
-bit.
+subtree, and is 0.0 for leaves, which are worth 0.0 or -BIG.  A node walks
+its candidates in descending reward and stops at the first whose reward
+plus its children's bound falls below the best value so far, so the
+returned maximum, and the root's first-maximum choice, are those of full
+enumeration over the same candidates bit for bit.
 
 A neighbourhood sample is a pure function of (seed, hour, status,
 anchor): it takes its uniforms from a generator seeded by them and keeps
@@ -50,81 +47,51 @@ from .errors import NoFeasibleActionError
 from .mdp import BIG, CommitmentAction, ScheduleSolution, SystemState, UnitCommitmentMDP
 
 
-def _cutoff_best(env: UnitCommitmentMDP, status, hour: int, aints) -> tuple[int, float]:
-    """Index and value of the first best candidate at the depth cutoff: its
-    reward, minus BIG where its child is a catastrophe state.
-
-    The first highest reward wins outright when its child is live: any other
-    candidate scores at most its own reward and, on a tie, comes later.
-    """
-    dead = env.child_dead_end(status, hour)
-    rewards = env.rewards(status, hour, aints)
-    best = max(range(len(rewards)), key=rewards.__getitem__)
-    if not dead(aints[best]):
-        return best, rewards[best] + 0.0
-    values = [r + (-BIG if dead(a) else 0.0) for r, a in zip(rewards, aints)]
-    best = max(range(len(values)), key=values.__getitem__)
-    return best, values[best]
-
-
-def _at_cutoff(env: UnitCommitmentMDP, hour: int, depth: int) -> bool:
-    """Whether the children of a node at ``hour`` with ``depth`` steps left
-    are leaves."""
-    return depth == 1 or hour + 1 == env.horizon
-
-
 def _tail_bound(env: UnitCommitmentMDP, hour: int, depth: int) -> float:
     """Upper bound on the ``_search`` value of any node at ``hour`` with
     ``depth`` steps left: per hour, -BIG or ``reward_bound`` plus the rest,
-    summed in the order ``_search`` sums its values."""
+    summed in the order ``_search`` sums its values.  0.0 past the cutoff,
+    with no ``reward_bound`` call."""
     tail = 0.0
     for h in reversed(range(hour, min(hour + depth, env.horizon))):
         tail = max(-BIG, env.reward_bound(h) + tail)
     return tail
 
 
-def _bounded_best(rewards, tail: float, score) -> tuple[int, float]:
-    """Index and value of the best ``score(k)`` over the candidates.
-
-    Walks them in descending reward and stops at the first whose reward
-    plus ``tail``, a bound on its child's value, falls below the best value
-    so far: no candidate after it can reach that value, so the result is
-    the full maximum.  Among equal values the lowest index wins.
-    """
-    best_k, best = -1, -inf
-    for k in sorted(range(len(rewards)), key=rewards.__getitem__, reverse=True):
-        if rewards[k] + tail < best:
-            break
-        v = score(k)
-        if v > best or (v == best and k < best_k):
-            best_k, best = k, v
-    return best_k, best
-
-
 def _best(
     env: UnitCommitmentMDP, status, hour: int, depth: int, cands, expand
 ) -> tuple[int, float]:
     """Index and value of the best of a node's candidates ``cands``: each
-    one's reward plus the ``_search`` value of its child, or
-    ``_cutoff_best`` when the children are leaves.
+    one's reward plus its child's value.
 
-    Child k is searched by ``_search`` with ``expand``, anchored on
-    ``cands[k]``, against the children's ``_tail_bound``
-    (``_bounded_best``).  Candidates ascend by action, so taking the lowest
+    A leaf child, past the depth cutoff or the horizon, is worth 0.0, or
+    -BIG when it has no feasible action; any other child is worth its
+    ``_search`` value with ``expand``, anchored on ``cands[k]``.  The walk
+    takes the candidates in descending reward and stops at the first whose
+    reward plus the children's ``_tail_bound`` falls below the best value
+    so far: no candidate after it can reach that value, so the result is
+    the full maximum.  Candidates ascend by action, so taking the lowest
     index among equal values breaks ties toward the lexicographically
     smallest action.
     """
-    if _at_cutoff(env, hour, depth):
-        return _cutoff_best(env, status, hour, cands)
     # bound first: the first bound prices the whole day, this hour included
     tail = _tail_bound(env, hour + 1, depth - 1)
     rewards = env.rewards(status, hour, cands)
-
-    def score(k: int) -> float:
-        child = env._advance(status, env._bits_of(cands[k]))
-        return rewards[k] + _search(env, child, hour + 1, depth - 1, expand, cands[k])
-
-    return _bounded_best(rewards, tail, score)
+    leaf = depth == 1 or hour + 1 == env.horizon
+    dead = env.child_dead_end(status, hour) if leaf else None
+    best_k, best = -1, -inf
+    for k in sorted(range(len(rewards)), key=rewards.__getitem__, reverse=True):
+        r, a = rewards[k], cands[k]
+        if r + tail < best:
+            break
+        if leaf:
+            v = r + (-BIG if dead(a) else 0.0)
+        else:
+            child = env._advance(status, env._bits_of(a))
+            v = r + _search(env, child, hour + 1, depth - 1, expand, a)
+        if v > best or (v == best and k < best_k):
+            best_k, best = k, v
+    return best_k, best
 
 
 def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, anchor) -> float:
@@ -133,8 +100,8 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, ancho
     anchor)``.
 
     Every child is expanded the same way, around the bit-packed action that
-    reached it.  Returns -BIG from a catastrophe state, including one a step
-    past the cutoff, so any feasible branch dominates.
+    reached it.  Returns -BIG from a catastrophe state, so any feasible
+    branch dominates.
     """
     cands = expand(status, hour, anchor)
     if not cands:
@@ -147,6 +114,19 @@ def _search(env: UnitCommitmentMDP, status, hour: int, depth: int, expand, ancho
 _search_sub = _search
 
 
+def _root(
+    env: UnitCommitmentMDP, state: SystemState, lookahead: int, expand, anchor
+) -> tuple[CommitmentAction, float]:
+    """Best candidate ``expand(status, hour, anchor)`` at a search root, as
+    an action tuple, and its value; raises NoFeasibleActionError when there
+    is none, the horizon included."""
+    cands = expand(state.status, state.hour, anchor) if state.hour < env.horizon else ()
+    if not cands:
+        raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
+    k, value = _best(env, state.status, state.hour, lookahead, cands, expand)
+    return env._bits_of(cands[k]), value
+
+
 def find_best_action(
     state: SystemState, lookahead: int, env: UnitCommitmentMDP
 ) -> tuple[CommitmentAction, float]:
@@ -155,15 +135,11 @@ def find_best_action(
     smallest action."""
     if lookahead < 1:
         raise ValueError("lookahead must be >= 1")
-    cands = env._feasible_ints(state.status, state.hour)
-    if not cands:
-        raise NoFeasibleActionError(f"no feasible action at hour {state.hour}")
 
     def expand(status, hour, _anchor):
         return env._feasible_ints(status, hour)
 
-    k, value = _best(env, state.status, state.hour, lookahead, cands, expand)
-    return env._bits_of(cands[k]), value
+    return _root(env, state, lookahead, expand, None)
 
 
 def tree_search_policy(lookahead: int, env: UnitCommitmentMDP) -> ScheduleSolution:
@@ -233,12 +209,7 @@ def subsampled_tree_search(
         return sample_action_neighborhood(anchor, status, hour, sample_count, decay, seed, env)
 
     def choose(state, previous):
-        t = state.hour
         anchor = first_anchor if previous is None else env._int_of(previous)
-        cands = expand(state.status, t, anchor)
-        if not cands:
-            raise NoFeasibleActionError(f"no feasible action at hour {t}")
-        k, value = _best(env, state.status, t, lookahead, cands, expand)
-        return env._bits_of(cands[k]), value
+        return _root(env, state, lookahead, expand, anchor)
 
     return env.rollout(choose)

@@ -64,6 +64,12 @@ class TestFindBestAction:
         with pytest.raises(NoFeasibleActionError):
             find_best_action(SystemState((-1,), 0), 2, env)
 
+    def test_state_at_the_horizon_raises(self, two_unit_instance):
+        env = UnitCommitmentMDP(two_unit_instance)
+        state = SystemState(env.initial_state().status, env.horizon)
+        with pytest.raises(NoFeasibleActionError, match=f"at hour {env.horizon}$"):
+            find_best_action(state, 1, env)
+
     def test_value_consistent_with_recursive_descent(self):
         # v(s, H) == r(s, a*) + v(f(s, a*), H-1), replayed to the cutoff;
         # the cold pair's best first action starts both units at once
@@ -169,26 +175,29 @@ def cutoff_reference(env, status, hour, aints):
 
 
 class TestCutoffMax:
-    """``_cutoff_best`` against the full vector it stands in for."""
+    """``_best`` at a node whose children are leaves against the full
+    vector its walk stands in for."""
 
-    cutoff_best = staticmethod(treesearch._cutoff_best)
+    best = staticmethod(treesearch._best)
 
     def check(self, env, status, hour, aints):
-        got = self.cutoff_best(env, status, hour, aints)
+        got = self.best(env, status, hour, 1, aints, None)
         want = cutoff_reference(env, status, hour, aints)
         assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
         return got
 
     def checked_cutoffs(self, monkeypatch, env, lookahead):
-        """Runs tree search, checking ``_cutoff_best`` at every cutoff node,
-        roots included; returns each node's dead-end flags."""
+        """Runs tree search, checking ``_best`` at every cutoff node, roots
+        included; returns each node's dead-end flags."""
         seen = []
 
-        def checked(env, status, hour, aints):
+        def checked(env, status, hour, depth, aints, expand):
+            if not (depth == 1 or hour + 1 == env.horizon):
+                return self.best(env, status, hour, depth, aints, expand)
             seen.append(list(map(env.child_dead_end(status, hour), aints)))
             return self.check(env, status, hour, aints)
 
-        monkeypatch.setattr(treesearch, "_cutoff_best", checked)
+        monkeypatch.setattr(treesearch, "_best", checked)
         tree_search_policy(lookahead, env)
         return seen
 
@@ -412,25 +421,43 @@ class TestBranchAndBound:
         assert 0 < 10 * n_pruned < len(calls)
 
     @pytest.mark.parametrize(
-        ("algorithm", "options", "want"),
-        [("tree", {}, 248), ("tree-sub", {"sample_count": 64, "rho": 0.5, "seed": 0}, 262)],
+        ("algorithm", "options", "searches", "dead_ends"),
+        [
+            ("tree", {"lookahead": 3}, 248, 182),
+            ("tree-sub", {"lookahead": 3, "sample_count": 64, "rho": 0.5, "seed": 0}, 262, 194),
+            ("tree", {"lookahead": 1}, 0, 24),
+        ],
+        ids=["tree-h3", "tree-sub-h3", "tree-h1"],
     )
     def test_search_call_count_on_the_bundled_n8_instance(
-        self, monkeypatch, algorithm, options, want
+        self, monkeypatch, algorithm, options, searches, dead_ends
     ):
         # pins the walk itself: a change in visit order or pruning that
-        # leaves the plan alone still moves the number of recursive calls
-        calls = 0
+        # leaves the plan alone still moves the number of recursive calls.
+        # On this instance every node whose children are leaves looks up
+        # one child's dead end, its first best reward's: a walk that scored
+        # every leaf would look up hundreds
+        calls = {"searches": 0, "dead_ends": 0}
         search = treesearch._search
+        child_dead_end = mdp.UnitCommitmentMDP.child_dead_end
 
         def counted(*args):
-            nonlocal calls
-            calls += 1
+            calls["searches"] += 1
             return search(*args)
 
+        def counted_dead_end(env, status, hour):
+            dead = child_dead_end(env, status, hour)
+
+            def lookup(aint):
+                calls["dead_ends"] += 1
+                return dead(aint)
+
+            return lookup
+
         monkeypatch.setattr(treesearch, "_search", counted)
-        run(load_instance(INSTANCES / "n8_t24.json"), algorithm, lookahead=3, **options)
-        assert calls == want
+        monkeypatch.setattr(mdp.UnitCommitmentMDP, "child_dead_end", counted_dead_end)
+        run(load_instance(INSTANCES / "n8_t24.json"), algorithm, **options)
+        assert calls == {"searches": searches, "dead_ends": dead_ends}
 
     def test_dispatch_calls_on_the_bundled_n8_instance(self, monkeypatch):
         # tree H=3 asks for its first bound before it scores the first
