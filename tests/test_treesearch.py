@@ -436,7 +436,7 @@ class TestBranchAndBound:
         # leaves the plan alone still moves the number of recursive calls.
         # On this instance every node whose children are leaves looks up
         # one child's dead end, its first best reward's: a walk that scored
-        # every leaf would look up hundreds
+        # every leaf would look up many times more
         calls = {"searches": 0, "dead_ends": 0}
         search = treesearch._search
         child_dead_end = mdp.UnitCommitmentMDP.child_dead_end
