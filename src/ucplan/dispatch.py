@@ -12,7 +12,13 @@ same bisection and the same balance polish for many committed sets at once,
 each against its own demand, on numpy blocks and returns costs equal to the
 scalar ones bit for bit: its fsums go through ``row_fsum``, a row-wise sum
 built from error-free transformations that certifies where it equals
-``math.fsum``.
+``math.fsum``.  Most of a row's midpoints only halve a wide bracket far
+from the root, so ``_skip_ahead`` replays that certified prefix without
+pricing it: the surplus is piecewise linear between the units' breakpoints,
+one matrix product locates each row's root, the bisection's own midpoints
+are replayed toward it, and two real surplus evaluations prove that the
+bisection would have taken every replayed step.  A row the proof does not
+cover bisects from its full bracket.
 ``kkt_violation`` certifies a returned dispatch against the optimality
 conditions.
 """
@@ -380,6 +386,101 @@ def _finish(lam, on, demand, a, b, c, p_min, p_max):
     return cost, ok & ok_cost
 
 
+def _surplus(lam, on_rows, need, fleet):
+    """Committed output at each row's price ``lam`` minus its demand, with
+    ``_response``'s float operations; ``fleet`` is ``(b, two_a, p_min,
+    p_max, step_units)`` with ``two_a`` 1.0 at the linear units."""
+    b, two_a, p_min, p_max, step_units = fleet
+    lam = lam[:, None]
+    p = lam - b
+    p /= two_a
+    np.maximum(p, p_min, out=p)
+    np.minimum(p, p_max, out=p)
+    for j in step_units:
+        p[:, j] = np.where(lam[:, 0] > b[j], p_max[j], p_min[j])
+    return np.einsum("ij,ij->i", p, on_rows) - need
+
+
+def _root_estimate(on_rows, need, fleet):
+    """Each row's root of its surplus and the surplus's slope there.
+
+    Without linear units the surplus is piecewise linear in the price, with
+    kinks at every unit's ``b + 2a p_min`` and ``b + 2a p_max``.  One
+    product gives each row's surplus at every kink; the root is interpolated
+    on the segment whose ends straddle zero.  NaN for a row that commits a
+    linear unit or has no such segment.
+    """
+    b, two_a, p_min, p_max, step_units = fleet
+    quad = np.ones(len(b), dtype=bool)
+    quad[step_units] = False
+    if not quad.any():
+        return np.full((2, len(need)), np.nan)
+    lo_kink, hi_kink = b + two_a * p_min, b + two_a * p_max
+    # sorted, not np.unique, whose first call imports numpy.ma (about 1.2
+    # MB of resident memory); a repeated kink never straddles the root
+    kinks = np.sort(np.concatenate([lo_kink[quad], hi_kink[quad]]))
+    # each unit's output at each kink; rows with a linear unit are dropped
+    out = (kinks - b[:, None]) / two_a[:, None]
+    np.clip(out, p_min[:, None], p_max[:, None], out=out)
+    out[~quad] = 0.0
+    at_kink = on_rows @ out
+    at_kink -= need[:, None]
+    k = np.argmax(at_kink >= 0.0, axis=1)
+    k_lo = np.maximum(k - 1, 0)
+    s_lo = np.take_along_axis(at_kink, k_lo[:, None], axis=1)[:, 0]
+    s_hi = np.take_along_axis(at_kink, k[:, None], axis=1)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = (s_hi - s_lo) / (kinks[k] - kinks[k_lo])
+        root = kinks[k_lo] - s_lo / slope
+    none = (k == 0) | (s_hi < 0.0) | ~(slope > 0.0) | on_rows[:, ~quad].any(axis=1)
+    root[none] = np.nan
+    slope[none] = np.nan
+    return root, slope
+
+
+def _skip_ahead(lo, hi, on_rows, need, tol, near, fleet):
+    """Each row's bisection bracket after the midpoints its root decides,
+    and how many midpoints that skips.
+
+    The bisection's own midpoints are replayed on the brackets, steered by
+    ``_root_estimate``, up to the first one within a guard of the estimate
+    (or stuck on an end).  Two real surpluses then check the replay: at the
+    last midpoint that raised ``lo`` it must read below ``-(tol + 3 near)``,
+    at the last that lowered ``hi`` above ``tol + 3 near``.  Each unit's
+    float output is monotone in the price and every order of summation lies
+    within ``near`` of the exact sum, so every replayed midpoint would then
+    have moved the same end, unsettled, in the bisection itself.  A row that
+    fails keeps its bracket and skips nothing.
+    """
+    root, slope = _root_estimate(on_rows, need, fleet)
+    with np.errstate(divide="ignore", over="ignore"):
+        guard = 1.5 * (tol + near) / slope
+    below, above = root - guard, root + guard
+    start_lo, start_hi = lo, hi
+    lam = np.empty_like(lo)
+    up, down = np.empty((2, len(lo)), dtype=bool)
+    skip = np.zeros(len(lo), dtype=np.int16)
+    # a row that stops keeps its bracket and so stays stopped; a midpoint
+    # stuck on an end counts but moves nothing, which the loop then meets
+    for _ in range(_MAX_BISECT - 1):
+        np.add(lo, hi, out=lam)
+        lam *= 0.5
+        np.less(lam, below, out=up)
+        np.greater(lam, above, out=down)
+        lo = np.where(up, lam, lo)
+        hi = np.where(down, lam, hi)
+        up |= down
+        if not up.any():
+            break
+        skip += up
+    sure = tol + 3.0 * near
+    raised = lo != start_lo
+    lowered = hi != start_hi
+    ok = ~raised | (_surplus(lo, on_rows, need, fleet) < -sure)
+    ok &= ~lowered | (_surplus(hi, on_rows, need, fleet) > sure)
+    return np.where(ok, lo, start_lo), np.where(ok, hi, start_hi), np.where(ok, skip, 0)
+
+
 def dispatch_costs(bits, demand, gens) -> list[float]:
     """``economic_dispatch(row, demand, gens).cost`` for every row of ``bits``.
 
@@ -390,7 +491,11 @@ def dispatch_costs(bits, demand, gens) -> list[float]:
     a row whose residual lies within ``_SUM_MARGIN`` of a decision threshold
     goes to ``economic_dispatch``, and so do empty or infeasible sets, rows
     whose bracket collapses on a linear unit's price step (the scalar
-    solver's fallback) and rows still open after ``_MAX_BISECT`` steps.
+    solver's fallback) and rows still open after ``_MAX_BISECT`` midpoints.
+    Before the bisection, ``_skip_ahead`` moves each row's bracket past the
+    leading midpoints that a certificate proves the bisection would take
+    anyway, and they count toward ``_MAX_BISECT``; a row it cannot certify
+    starts from the full bracket.
     Converged rows finish together in ``_finish``, which repeats the scalar
     finish operation for operation with certified fsums; a row it cannot
     certify goes to ``economic_dispatch`` too, so every cost (or error) is
@@ -404,19 +509,7 @@ def dispatch_costs(bits, demand, gens) -> list[float]:
     demand = np.broadcast_to(np.asarray(demand, dtype=float), len(on))
     a, b, c, p_min, p_max = np.array([(g.a, g.b, g.c, g.p_min, g.p_max) for g in gens]).T.copy()
     linear = ~(a > 0)
-    two_a = np.where(linear, 1.0, 2.0 * a)
-    step_units = np.flatnonzero(linear)
-
-    def surplus(lam, on_rows, need):
-        """Committed output at each row's price minus its demand."""
-        lam = lam[:, None]
-        p = lam - b
-        p /= two_a
-        np.maximum(p, p_min, out=p)
-        np.minimum(p, p_max, out=p)
-        for j in step_units:
-            p[:, j] = np.where(lam[:, 0] > b[j], p_max[j], p_min[j])
-        return np.einsum("ij,ij->i", p, on_rows) - need
+    fleet = (b, np.where(linear, 1.0, 2.0 * a), p_min, p_max, np.flatnonzero(linear))
 
     lo_cap = np.einsum("ij,j->i", on_f, p_min)
     hi_cap = np.einsum("ij,j->i", on_f, p_max)
@@ -427,27 +520,28 @@ def dispatch_costs(bits, demand, gens) -> list[float]:
     lam_hi = np.where(on, 2.0 * a * p_max + b, -np.inf).max(axis=1)
     grow = np.flatnonzero(~scalar)
     while grow.size:
-        short = surplus(lam_hi[grow], on_f[grow], demand[grow])
+        short = _surplus(lam_hi[grow], on_f[grow], demand[grow], fleet)
         unsure = np.abs(short) <= margin[grow]
         scalar[grow[unsure]] = True
         grow = grow[~unsure & (short < 0)]
         lam_hi[grow] += np.maximum(1.0, lam_hi[grow] - lam_lo[grow])
 
     rows = np.flatnonzero(~scalar)
-    lo, hi, on_rows, near = lam_lo[rows], lam_hi[rows], on_f[rows], margin[rows]
-    need = demand[rows]
+    on_rows, near, need = on_f[rows], margin[rows], demand[rows]
     tol = 1e-9 * need
+    lo, hi, skip = _skip_ahead(lam_lo[rows], lam_hi[rows], on_rows, need, tol, near, fleet)
+    last = _MAX_BISECT - 1 - skip  # the step of each row's last allowed midpoint
     done = np.zeros(len(on), dtype=bool)
     lam_done = np.empty(len(on))
-    for _ in range(_MAX_BISECT):
+    for step in range(_MAX_BISECT):
         if not rows.size:
             break
         lam = 0.5 * (lo + hi)
-        resid = surplus(lam, on_rows, need)
+        resid = _surplus(lam, on_rows, need, fleet)
         size = np.abs(resid)
         # a midpoint equal to an end repeats forever: the price-step fallback
         stuck = (lam == lo) | (lam == hi)
-        settled = (size <= tol + near) | stuck
+        settled = (size <= tol + near) | stuck | (last == step)
         if settled.any():
             ok = size <= tol - near
             done[rows[ok]] = True
@@ -455,12 +549,11 @@ def dispatch_costs(bits, demand, gens) -> list[float]:
             scalar[rows[settled & ~ok]] = True
             keep = ~settled
             rows, lam, resid, lo, hi = rows[keep], lam[keep], resid[keep], lo[keep], hi[keep]
-            near, need, tol = near[keep], need[keep], tol[keep]
+            near, need, tol, last = near[keep], need[keep], tol[keep], last[keep]
             on_rows = np.compress(keep, on_rows, axis=0)  # faster than on_rows[keep]
         over = resid > 0
         hi = np.where(over, lam, hi)
         lo = np.where(over, lo, lam)
-    scalar[rows] = True
 
     finished = np.flatnonzero(done)
     cost, ok = _finish(

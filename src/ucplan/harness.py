@@ -390,7 +390,8 @@ def write_run(report: RunReport, out_dir, instance: ProblemInstance) -> None:
 
 def read_summary(run_dir) -> dict:
     """A run's ``summary.json``; UnitCommitmentError naming the file unless
-    it is a JSON object with the fields the report reads."""
+    it is a JSON object with the fields the report reads and any
+    ``config`` is a JSON object too."""
     path = Path(run_dir) / "summary.json"
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
@@ -399,6 +400,8 @@ def read_summary(run_dir) -> dict:
     fields = {"algorithm": str, "objective_usd": (int, float), "runtime_s": (int, float)}
     bad = [k for k, kind in fields.items()
            if not isinstance(summary, dict) or not isinstance(summary.get(k), kind)]
+    if isinstance(summary, dict) and not isinstance(summary.get("config", {}), dict):
+        bad.append("config")
     if bad:
         raise UnitCommitmentError(f"{path}: summary has no valid {', '.join(bad)}")
     return summary

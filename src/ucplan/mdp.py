@@ -34,19 +34,22 @@ BIG = 1e12  # catastrophe penalty, dominates any real schedule cost
 CommitmentAction = tuple[int, ...]
 
 # fewest memo misses in one ``rewards`` call worth one batched dispatch: a
-# batch costs about 1.1-1.5 ms of numpy overhead and a scalar row 50-65 us,
-# so with batched rows finishing in numpy the crossover is 24-32 rows at
-# N = 8 and 16-24 at N = 12 (bundled instances, hours 3, 12 and 20)
+# batch of 24 rows costs about 0.8-1.0 ms, nearly all of it numpy overhead
+# that does not grow with the rows, and a scalar row 36-59 us, so the
+# crossover is 19-26 rows at N = 8 and 15-21 at N = 12 (bundled instances,
+# hours 3, 12 and 20)
 _BATCH_MIN = 24
 
 # most rows in one batch of ``price_day``'s day-wide pricing.  A batch
-# pays about 32 bisection midpoints of numpy calls (1.7-3.1 ms) whatever its
-# size, while its peak memory grows with its rows.  Pricing hours 1-23 of a
+# pays a root estimate, about 30 replayed midpoints on 1-D arrays and about
+# ten priced bisection midpoints of numpy calls (0.6-1.0 ms) whatever its
+# size, while its peak memory grows with its rows.  ``price_day`` on a
 # fresh MDP, alternated in one process: ``n8_t24`` (2 494 rows over the
-# day) takes 69 ms hour by hour, 23 ms at a cap of 1 024 and 17 ms from
-# 4 096 up, where the day is one batch; ``n12_t24`` (39 040) gains 10% from
-# 4 096 up, and its tracemalloc peak (action table built beforehand) is
-# 4.7 MB at 4 096, 7.2 MB at 8 192 and 28 MB uncapped (4.5 MB hour by hour)
+# day) takes 30 ms hour by hour, 9 ms at a cap of 1 024 and 7 ms from
+# 4 096 up, where the day is one batch; ``n12_t24`` (39 040) takes 130-142
+# ms hour by hour, 114-120 ms at 4 096 and 101-106 ms at 8 192, and its
+# tracemalloc peak (action table built beforehand) is 4.7 MB at 4 096,
+# 7.0 MB at 8 192 and 30 MB uncapped (5.5 MB hour by hour)
 _DAY_BATCH_ROWS = 4096
 
 

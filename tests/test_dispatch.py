@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ucplan import (
     InfeasibleDispatchError,
     OutOfBoundsError,
+    UnitCommitmentMDP,
     check_set_limits,
     dispatch_costs,
     economic_dispatch,
@@ -502,3 +503,83 @@ class TestBatchedFinish:
             economic_dispatch((1, 1), 80.0, gens)
         with pytest.raises(OutOfBoundsError):
             dispatch_costs([(1, 1)], 80.0, gens)
+
+
+def wrong_roots(scale, guard_off=False):
+    """``_root_estimate`` with every root scaled by ``scale``: on the bundled
+    fleets, whose prices lie around 10-40 $/MWh, 0.75 and 1.25 move it by
+    about a quarter of a row's bracket.  ``guard_off`` reports an infinite
+    slope, so the replay runs right up to the root, past midpoints where
+    the bisection itself would have settled."""
+    estimate = dispatch._root_estimate
+
+    def wrong(*args):
+        root, slope = estimate(*args)
+        return root * scale, np.where(guard_off, np.inf, slope)
+
+    return wrong
+
+
+WRONG_ROOTS = {"low": (0.75, False), "high": (1.25, False), "unguarded": (1.0, True)}
+
+
+class TestSkipAhead:
+    """``_skip_ahead`` may only save midpoints: a wrong root estimate must
+    fall back to the full bracket, and a right one must skip nearly all."""
+
+    @pytest.mark.parametrize("wrong", WRONG_ROOTS)
+    def test_a_wrong_root_estimate_changes_no_cost_on_the_bundled_instance(
+        self, wrong, monkeypatch
+    ):
+        inst = load_instance(INSTANCES / "n8_t24.json")
+        gens = inst.generators
+        actions = list(itertools.product((0, 1), repeat=inst.n_units))
+        monkeypatch.setattr(dispatch, "_root_estimate", wrong_roots(*WRONG_ROOTS[wrong]))
+        skipped = []
+        skip_ahead = dispatch._skip_ahead
+
+        def seen(*args):
+            out = skip_ahead(*args)
+            skipped.append(int(out[2].sum()))
+            return out
+
+        monkeypatch.setattr(dispatch, "_skip_ahead", seen)
+        for demand, reserve in zip(inst.profile.demand, inst.profile.reserve):
+            rows = [row for row in actions if check_set_limits(row, demand, reserve, gens)]
+            assert dispatch_costs(rows, demand, gens) == scalar_costs(rows, demand, gens)
+        # the certificate turned every replay down
+        assert skipped == [0] * inst.horizon
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=rows_with_demands(), wrong=st.sampled_from(list(WRONG_ROOTS.values())))
+    def test_a_wrong_root_estimate_changes_no_cost_on_random_fleets(self, case, wrong):
+        gens, rows, demands = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dispatch, "_root_estimate", wrong_roots(*wrong))
+            got = list(map(repr, dispatch_costs(rows, demands, gens)))
+        assert got == [repr(economic_dispatch(r, d, gens).cost) for r, d in zip(rows, demands)]
+
+    def test_every_row_of_the_day_batch_skips_ahead(self, monkeypatch):
+        """``price_day`` prices all 2 494 rows of ``n8_t24`` in one batch.
+        Every row passes the certificate and skips 18 to 30 midpoints, and
+        the bisection then runs ten where it ran about 32 from the full
+        bracket."""
+        skipped, calls = [], []
+        skip_ahead, surplus = dispatch._skip_ahead, dispatch._surplus
+
+        def seen(*args):
+            out = skip_ahead(*args)
+            skipped.append(out[2])
+            return out
+
+        def counted(lam, *args):
+            calls.append(len(lam))
+            return surplus(lam, *args)
+
+        monkeypatch.setattr(dispatch, "_skip_ahead", seen)
+        monkeypatch.setattr(dispatch, "_surplus", counted)
+        UnitCommitmentMDP(load_instance(INSTANCES / "n8_t24.json")).price_day()
+        [skip] = skipped
+        assert len(skip) == 2494 and (skip.min(), skip.max()) == (18, 30)
+        # one bracket check, the two certificate surpluses, then the loop
+        assert calls == [2494] * 3 + [2494, 654, 454, 237, 126, 59, 30, 15, 6, 1]

@@ -448,6 +448,7 @@ class TestCli:
             ("report", ["truncated"]),
             ("report", ["partial"]),
             ("report", ["unscheduled"]),
+            ("report", ["unconfigured"]),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, list) else x,
     )
@@ -458,8 +459,9 @@ class TestCli:
         "verify" ``uc verify`` and "report" ``uc report -o out``;
         negative_e.json gives unit 0 a negative start-up price; the run
         directory "truncated" holds a summary.json of ``{``, "partial" one
-        without ``objective_usd``, and "unscheduled" a valid summary next to
-        a schedule.csv without ``power_mw``."""
+        without ``objective_usd``, "unscheduled" a valid summary next to
+        a schedule.csv without ``power_mw``, and "unconfigured" one whose
+        ``config`` is a string next to a valid schedule.csv."""
         monkeypatch.chdir(tmp_path)
         save_instance(gen_instance(3, 6, 1), tmp_path / "tiny.json")
         (tmp_path / "latin1.json").write_bytes('{"horizon": 6, "name": "Sälen"}'.encode("latin-1"))
@@ -471,10 +473,14 @@ class TestCli:
             ("truncated", "{"),
             ("partial", json.dumps(partial)),
             ("unscheduled", json.dumps({**partial, "objective_usd": 1.0})),
+            ("unconfigured", json.dumps({**partial, "objective_usd": 1.0, "config": "H"})),
         ):
             (tmp_path / name).mkdir()
             (tmp_path / name / "summary.json").write_text(text)
         (tmp_path / "unscheduled" / "schedule.csv").write_text("hour,unit_id,committed\n0,0,1\n")
+        (tmp_path / "unconfigured" / "schedule.csv").write_text(
+            "hour,unit_id,committed,power_mw,gen_cost_usd,startup_cost_usd\n0,0,1,1.0,1.0,0.0\n"
+        )
         command = {
             "gen": ["gen", "-N", "1", "-T", "6", "-o", "out"],
             "verify": ["verify", "-i", "tiny.json"],
