@@ -461,7 +461,8 @@ def _skip_ahead(lo, hi, on_rows, need, tol, near, fleet):
     up, down = np.empty((2, len(lo)), dtype=bool)
     skip = np.zeros(len(lo), dtype=np.int16)
     # a row that stops keeps its bracket and so stays stopped; a midpoint
-    # stuck on an end counts but moves nothing, which the loop then meets
+    # stuck on an end counts but moves nothing, which the loop then meets.
+    # At most _MAX_BISECT - 1 are skipped: the loop prices every row's last.
     for _ in range(_MAX_BISECT - 1):
         np.add(lo, hi, out=lam)
         lam *= 0.5
